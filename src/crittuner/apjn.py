@@ -16,7 +16,7 @@ structure is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -71,25 +71,35 @@ class ApjnReport:
         return np.array([p.value for p in self.pairs])
 
 
-def _segment_dims(spec: NetworkSpec, l0: int, l1: int) -> tuple[int, int]:
-    return spec.boundary_dim(l0), spec.boundary_dim(l1)
-
-
-def _basis_chunks(dim: int, bsz: int, per_sample: bool) -> Iterator[Array]:
-    """Basis stacks [S, B, dim]: broadcast identity rows, or one-hot in
-    (sample, coordinate) when the segment couples the batch."""
+def _row_stacks(rows: Array, bsz: int, per_sample: bool) -> Iterator[Array]:
+    """Stacks [S, B, d] of at most _CHUNK tangents built from ``rows``
+    [n, d]: each row broadcast across the batch, or, when the segment
+    couples the batch, each row placed at one sample with zeros elsewhere
+    (sample-major order)."""
+    n, dim = rows.shape
     if not per_sample:
-        eye = np.eye(dim)
-        for c0 in range(0, dim, _CHUNK):
-            rows = eye[c0:min(c0 + _CHUNK, dim)]
-            yield np.broadcast_to(rows[:, None, :], (rows.shape[0], bsz, dim)).copy()
+        for c0 in range(0, n, _CHUNK):
+            chunk = rows[c0:c0 + _CHUNK]
+            yield np.broadcast_to(chunk[:, None, :], (chunk.shape[0], bsz, dim)).copy()
     else:
-        total = bsz * dim
+        total = bsz * n
         for c0 in range(0, total, _CHUNK):
             idx = np.arange(c0, min(c0 + _CHUNK, total))
             t = np.zeros((idx.size, bsz, dim))
-            t[np.arange(idx.size), idx // dim, idx % dim] = 1.0
+            t[np.arange(idx.size), idx // n] = rows[idx % n]
             yield t
+
+
+def _sweep_ssq(state: ForwardState, l0: int, l1: int, stacks: Iterable[Array],
+               forward: bool) -> float:
+    """Total sum of squares of the ``[S, B, d]`` stacks pushed forward from
+    boundary l0 to l1 (``forward``) or pulled back from l1 to l0."""
+    sweep = jvp_segment if forward else vjp_segment
+    ssq = 0.0
+    for t in stacks:
+        out = sweep(state, l0, l1, t)
+        ssq += float(np.sum(out * out))
+    return ssq
 
 
 def exact_apjn(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Array,
@@ -102,7 +112,7 @@ def exact_apjn(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Arra
     """
     if state is None:
         state = run_network(spec, params, aux, batch)
-    d0, d1 = _segment_dims(spec, l0, l)
+    d0, d1 = spec.boundary_dim(l0), spec.boundary_dim(l)
     bsz = state.batch_size
     coupled = spec.segment_has_batchnorm(l0, l)
     b_eff = bsz if coupled else 1
@@ -111,16 +121,9 @@ def exact_apjn(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Arra
         raise ResourceBudgetError(
             f"exact Jacobian needs {entries:.3g} entries (budget {max_entries:.3g}); "
             f"use estimate_apjn instead")
-    ssq = 0.0
-    if d0 * b_eff <= d1 * b_eff:
-        for t in _basis_chunks(d0, bsz, coupled):
-            out = jvp_segment(state, l0, l, t)
-            ssq += float(np.sum(out * out))
-    else:
-        for g in _basis_chunks(d1, bsz, coupled):
-            out = vjp_segment(state, l0, l, g)
-            ssq += float(np.sum(out * out))
-    return ssq / (bsz * d1)
+    forward = d0 <= d1
+    basis = _row_stacks(np.eye(d0 if forward else d1), bsz, coupled)
+    return _sweep_ssq(state, l0, l, basis, forward) / (bsz * d1)
 
 
 def estimate_segment(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngStream,
@@ -136,7 +139,7 @@ def estimate_segment(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngSt
     if n_v < 1:
         raise ValueError(f"need at least one probe vector, got {n_v}")
     spec = state.spec
-    d0, d1 = _segment_dims(spec, l0, l1)
+    d0, d1 = spec.boundary_dim(l0), spec.boundary_dim(l1)
     bsz = state.batch_size
     coupled = spec.segment_has_batchnorm(l0, l1)
     mode = probe_mode
@@ -148,24 +151,10 @@ def estimate_segment(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngSt
     norm = bsz * d1
     for m in range(n_v):
         if mode == "output":
-            v = rng.normal(d1)
-            if coupled:
-                ssq = 0.0
-                for c0 in range(0, bsz, _CHUNK):
-                    n = min(_CHUNK, bsz - c0)
-                    g = np.zeros((n, bsz, d1))
-                    g[np.arange(n), c0 + np.arange(n), :] = v
-                    out = vjp_segment(state, l0, l1, g)
-                    ssq += float(np.sum(out * out))
-                terms[m] = ssq / norm
-            else:
-                g = np.broadcast_to(v, (1, bsz, d1)).copy()
-                out = vjp_segment(state, l0, l1, g)
-                terms[m] = float(np.sum(out * out)) / norm
+            stacks = _row_stacks(rng.normal(d1)[None], bsz, coupled)
         else:
-            u = rng.normal((1, bsz, d0))
-            out = jvp_segment(state, l0, l1, u)
-            terms[m] = float(np.sum(out * out)) / norm
+            stacks = [rng.normal((1, bsz, d0))]
+        terms[m] = _sweep_ssq(state, l0, l1, stacks, forward=mode == "input") / norm
     value = float(terms.mean())
     stderr = float(terms.std(ddof=1) / np.sqrt(n_v)) if n_v > 1 else float("nan")
     return value, stderr, terms

@@ -6,6 +6,14 @@ layer scaling, pooling, patch embedding). Blocks flagged ``boundary=True``
 end a measurement group: the forward pass records the flattened activation
 there, and Jacobians are always taken between two such boundaries.
 
+Everything that differs between block kinds lives in one table, ``OPS``,
+keyed by ``BlockSpec.kind``. Each entry is an :class:`Op` holding that
+kind's config-line form, its parameter groups and the spec field each
+group's scalar folds into, the spec fields a scan may set, and its shape,
+init, forward, JVP and VJP rules. Network construction, parameter draws,
+the forward pass, the traversals and the config and CLI layers all read
+the table; none of them branches on the kind.
+
 Every parameterized block carries per-group auxiliary scalars (the "twin
 network"): the forward pass uses ``a_W * W`` and ``a_b * b`` in place of the
 raw draws, so scaling the scalars is exactly equivalent to scaling the
@@ -18,8 +26,9 @@ samples, so its JVP/VJP keep the full cross-sample structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -85,18 +94,8 @@ ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
 
 DEFAULT_BN_EPS = 1e-5
 
-# parameter groups owned by each kind, in draw order
-PARAM_GROUPS: dict[str, tuple[str, ...]] = {
-    "dense": ("W", "b"),
-    "conv2d": ("W", "b"),
-    "patchembed": ("W", "b"),
-    "affine": ("alpha", "beta"),
-    "layerscale": ("scale",),
-}
-
 # groups that receive auxiliary scalars by default (plain weight layers)
 DEFAULT_AUX_GROUPS = frozenset({"W", "b"})
-ALL_AUX_GROUPS = frozenset({"W", "b", "alpha", "beta", "scale"})
 
 
 @dataclass
@@ -172,16 +171,6 @@ def patch_embed(patch: int, dim: int, sigma_w: float, sigma_b: float = 0.0,
                      sigma_w=sigma_w, sigma_b=sigma_b)
 
 
-def _feature_dim(shape: tuple[int, ...]) -> int:
-    # elementwise vectors act per feature: last axis for flat/patch data,
-    # channel axis for conv data
-    if len(shape) in (1, 2):
-        return shape[-1]
-    if len(shape) == 3:
-        return shape[0]
-    raise ValueError(f"no feature axis for shape {shape}")
-
-
 @dataclass(eq=True)
 class NetworkSpec:
     """Ordered block list plus the per-sample input shape.
@@ -210,7 +199,9 @@ class NetworkSpec:
             cur = shapes[-1]
             blk = replace(blk)
             try:
-                cur = self._propagate(blk, cur, stack)
+                if blk.kind not in OPS:
+                    raise ValueError(f"unknown block kind {blk.kind!r}")
+                cur = OPS[blk.kind].shape(blk, cur, stack)
             except ValueError as exc:
                 raise ValueError(f"block {idx} ({blk.kind}): {exc}") from None
             if blk.boundary and stack:
@@ -227,84 +218,6 @@ class NetworkSpec:
         if cuts[-1] != len(self.blocks):
             cuts.append(len(self.blocks))
         self.cuts = cuts
-
-    @staticmethod
-    def _propagate(blk: BlockSpec, cur: tuple[int, ...], stack: list) -> tuple[int, ...]:
-        if blk.kind == "dense":
-            if blk.fan_out <= 0 or blk.sigma_w <= 0 or blk.sigma_b < 0:
-                raise ValueError("need fan_out > 0, sigma_w > 0, sigma_b >= 0")
-            if blk.axis == -1:
-                want = cur[-1]
-                out = (*cur[:-1], blk.fan_out)
-            elif blk.axis == 1 and len(cur) == 2:
-                want = cur[0]
-                out = (blk.fan_out, cur[1])
-            else:
-                raise ValueError(f"axis {blk.axis} not applicable to shape {cur}")
-            if blk.fan_in and blk.fan_in != want:
-                raise ValueError(f"fan_in {blk.fan_in} != incoming {want}")
-            blk.fan_in = want
-            return out
-        if blk.kind == "conv2d":
-            if len(cur) != 3:
-                raise ValueError(f"conv needs (C, H, W) input, got {cur}")
-            if blk.fan_out <= 0 or blk.kernel <= 0 or blk.stride < 1 or blk.padding < 0:
-                raise ValueError("bad conv geometry")
-            if blk.sigma_w <= 0 or blk.sigma_b < 0:
-                raise ValueError("need sigma_w > 0, sigma_b >= 0")
-            c, h, w = cur
-            blk.fan_in = c
-            ho = (h + 2 * blk.padding - blk.kernel) // blk.stride + 1
-            wo = (w + 2 * blk.padding - blk.kernel) // blk.stride + 1
-            if ho < 1 or wo < 1:
-                raise ValueError(f"kernel {blk.kernel} does not fit input {cur}")
-            return (blk.fan_out, ho, wo)
-        if blk.kind == "activation":
-            if blk.act not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {blk.act!r}")
-            return cur
-        if blk.kind == "batchnorm":
-            if len(cur) not in (1, 3):
-                raise ValueError(f"batchnorm expects flat or (C, H, W) input, got {cur}")
-            if blk.eps_bn < 0:
-                raise ValueError("eps_bn must be >= 0")
-            return cur
-        if blk.kind in ("affine", "layerscale"):
-            if blk.kind == "layerscale" and blk.eps_ls < 0:
-                raise ValueError("eps_ls must be >= 0")
-            blk.fan_out = _feature_dim(cur)
-            return cur
-        if blk.kind == "res_open":
-            stack.append(cur)
-            return cur
-        if blk.kind == "res_close":
-            if not stack:
-                raise ValueError("residual close without open")
-            if blk.mu < 0:
-                raise ValueError("mu must be >= 0")
-            opened = stack.pop()
-            if opened != cur:
-                raise ValueError(f"skip shape {opened} != branch shape {cur}")
-            return cur
-        if blk.kind == "flatten":
-            return (int(np.prod(cur)),)
-        if blk.kind == "avgpool":
-            if len(cur) == 2:
-                return (cur[1],)
-            if len(cur) == 3:
-                return (cur[0],)
-            raise ValueError(f"avgpool expects (P, d) or (C, H, W) input, got {cur}")
-        if blk.kind == "patchembed":
-            if len(cur) != 3:
-                raise ValueError(f"patch embedding needs (C, H, W) input, got {cur}")
-            c, h, w = cur
-            if blk.patch <= 0 or h % blk.patch or w % blk.patch:
-                raise ValueError(f"patch size {blk.patch} does not tile {cur}")
-            if blk.fan_out <= 0 or blk.sigma_w <= 0 or blk.sigma_b < 0:
-                raise ValueError("bad patch embedding parameters")
-            blk.fan_in = c * blk.patch * blk.patch
-            return ((h // blk.patch) * (w // blk.patch), blk.fan_out)
-        raise ValueError(f"unknown block kind {blk.kind!r}")
 
     # -- boundary bookkeeping ------------------------------------------------
     @property
@@ -329,11 +242,379 @@ class NetworkSpec:
         return range(self.cuts[b0], self.cuts[b1])
 
     def segment_has_batchnorm(self, b0: int, b1: int) -> bool:
-        return any(self.blocks[i].kind == "batchnorm" for i in self.segment(b0, b1))
+        return any(OPS[self.blocks[i].kind].couples_batch for i in self.segment(b0, b1))
 
     @property
     def has_batchnorm(self) -> bool:
-        return any(b.kind == "batchnorm" for b in self.blocks)
+        return any(OPS[b.kind].couples_batch for b in self.blocks)
+
+
+# --------------------------------------------------------------------------
+# block kinds: one op record per kind
+# --------------------------------------------------------------------------
+
+class Attr(NamedTuple):
+    """One ``key=value`` attribute of a block's config line."""
+
+    key: str
+    field: str                # BlockSpec field it sets
+    cast: Callable
+    default: object = None    # None: the attribute is required
+    omit_default: bool = False  # leave it off the line when at its default
+
+
+class Op:
+    """The rules of one block kind.
+
+    ``shape(blk, cur, stack)`` validates the block against the incoming
+    per-sample shape, fills inferred fields (fan-in, feature width) and
+    returns the outgoing shape; residual kinds push and pop ``stack``.
+    ``forward(blk, p, a_of, x, skip)`` returns ``(output, cache)``, where
+    ``a_of(group)`` is the block's auxiliary scalar for a parameter group
+    and ``cache`` holds exactly what this kind's ``jvp(blk, cache, t,
+    tskip)`` and ``vjp(blk, cache, g, gskip)`` read back. ``skip``,
+    ``tskip`` and ``gskip`` carry the residual branch inputs.
+    """
+
+    alias: str                # block name in config lines
+    attrs: tuple = ()         # config-line attributes, in write order
+    groups: dict = {}         # parameter group -> BlockSpec field its scalar folds into
+    scan: tuple = ()          # BlockSpec fields a scan axis of that name sets
+    couples_batch = False     # output of one sample depends on the others
+
+    def init(self, blk: BlockSpec, rng: RngStream) -> dict:
+        return {}
+
+
+class _Weighted(Op):
+    """Weight W ~ N(0, sigma_w^2 / fan-in) and bias b ~ N(0, sigma_b^2),
+    drawn in that order."""
+
+    groups = {"W": "sigma_w", "b": "sigma_b"}
+    scan = ("sigma_w", "sigma_b")
+
+    def weight_shape(self, blk: BlockSpec) -> tuple:
+        return (blk.fan_out, blk.fan_in)
+
+    def init(self, blk, rng):
+        shape = self.weight_shape(blk)
+        return {"W": rng.normal(shape, 0.0, blk.sigma_w / np.sqrt(math.prod(shape[1:]))),
+                "b": rng.normal((blk.fan_out,), 0.0, blk.sigma_b)}
+
+
+class _Dense(_Weighted):
+    alias = "dense"
+    attrs = (Attr("out", "fan_out", int), Attr("sigma_w", "sigma_w", float),
+             Attr("sigma_b", "sigma_b", float, 0.0),
+             Attr("axis", "axis", int, -1, omit_default=True))
+
+    def shape(self, blk, cur, stack):
+        if blk.fan_out <= 0 or blk.sigma_w <= 0 or blk.sigma_b < 0:
+            raise ValueError("need fan_out > 0, sigma_w > 0, sigma_b >= 0")
+        if blk.axis == -1:
+            want = cur[-1]
+            out = (*cur[:-1], blk.fan_out)
+        elif blk.axis == 1 and len(cur) == 2:
+            want = cur[0]
+            out = (blk.fan_out, cur[1])
+        else:
+            raise ValueError(f"axis {blk.axis} not applicable to shape {cur}")
+        if blk.fan_in and blk.fan_in != want:
+            raise ValueError(f"fan_in {blk.fan_in} != incoming {want}")
+        blk.fan_in = want
+        return out
+
+    def forward(self, blk, p, a_of, x, skip):
+        w = a_of("W") * p["W"]
+        b = a_of("b") * p["b"]
+        if blk.axis == -1:
+            return x @ w.T + b, w
+        return np.einsum("bpd,qp->bqd", x, w) + b[None, :, None], w
+
+    def jvp(self, blk, w, t, tskip):
+        f, s = _fold(t)
+        out = f @ w.T if blk.axis == -1 else np.einsum("bpd,qp->bqd", f, w)
+        return _unfold(out, s)
+
+    def vjp(self, blk, w, g, gskip):
+        f, s = _fold(g)
+        out = f @ w if blk.axis == -1 else np.einsum("bqd,qp->bpd", f, w)
+        return _unfold(out, s)
+
+
+class _Conv2d(_Weighted):
+    alias = "conv"
+    attrs = (Attr("out", "fan_out", int), Attr("k", "kernel", int),
+             Attr("stride", "stride", int, 1), Attr("pad", "padding", int, 0),
+             Attr("sigma_w", "sigma_w", float), Attr("sigma_b", "sigma_b", float, 0.0))
+
+    def shape(self, blk, cur, stack):
+        if len(cur) != 3:
+            raise ValueError(f"conv needs (C, H, W) input, got {cur}")
+        if blk.fan_out <= 0 or blk.kernel <= 0 or blk.stride < 1 or blk.padding < 0:
+            raise ValueError("bad conv geometry")
+        if blk.sigma_w <= 0 or blk.sigma_b < 0:
+            raise ValueError("need sigma_w > 0, sigma_b >= 0")
+        c, h, w = cur
+        blk.fan_in = c
+        ho = (h + 2 * blk.padding - blk.kernel) // blk.stride + 1
+        wo = (w + 2 * blk.padding - blk.kernel) // blk.stride + 1
+        if ho < 1 or wo < 1:
+            raise ValueError(f"kernel {blk.kernel} does not fit input {cur}")
+        return (blk.fan_out, ho, wo)
+
+    def weight_shape(self, blk):
+        return (blk.fan_out, blk.fan_in, blk.kernel, blk.kernel)
+
+    def forward(self, blk, p, a_of, x, skip):
+        wmat = (a_of("W") * p["W"]).reshape(blk.fan_out, -1)
+        b = a_of("b") * p["b"]
+        cols = _im2col(x, blk.kernel, blk.stride, blk.padding)
+        return (cols @ wmat.T + b).transpose(0, 3, 1, 2), (wmat, x.shape)
+
+    def jvp(self, blk, cache, t, tskip):
+        f, s = _fold(t)
+        cols = _im2col(f, blk.kernel, blk.stride, blk.padding)
+        return _unfold((cols @ cache[0].T).transpose(0, 3, 1, 2), s)
+
+    def vjp(self, blk, cache, g, gskip):
+        wmat, x_shape = cache
+        f, s = _fold(g)
+        gcols = f.transpose(0, 2, 3, 1) @ wmat
+        folded_shape = (f.shape[0],) + x_shape[1:]
+        return _unfold(_col2im(gcols, folded_shape, blk.kernel, blk.stride, blk.padding), s)
+
+
+class _PatchEmbed(_Weighted):
+    alias = "patch"
+    attrs = (Attr("p", "patch", int), Attr("dim", "fan_out", int),
+             Attr("sigma_w", "sigma_w", float), Attr("sigma_b", "sigma_b", float, 0.0))
+
+    def shape(self, blk, cur, stack):
+        if len(cur) != 3:
+            raise ValueError(f"patch embedding needs (C, H, W) input, got {cur}")
+        c, h, w = cur
+        if blk.patch <= 0 or h % blk.patch or w % blk.patch:
+            raise ValueError(f"patch size {blk.patch} does not tile {cur}")
+        if blk.fan_out <= 0 or blk.sigma_w <= 0 or blk.sigma_b < 0:
+            raise ValueError("bad patch embedding parameters")
+        blk.fan_in = c * blk.patch * blk.patch
+        return ((h // blk.patch) * (w // blk.patch), blk.fan_out)
+
+    def forward(self, blk, p, a_of, x, skip):
+        w = a_of("W") * p["W"]
+        b = a_of("b") * p["b"]
+        return _patchify(x, blk.patch) @ w.T + b, (w, x.shape)
+
+    def jvp(self, blk, cache, t, tskip):
+        f, s = _fold(t)
+        return _unfold(_patchify(f, blk.patch) @ cache[0].T, s)
+
+    def vjp(self, blk, cache, g, gskip):
+        w, x_shape = cache
+        f, s = _fold(g)
+        folded_shape = (f.shape[0],) + x_shape[1:]
+        return _unfold(_unpatchify(f @ w, folded_shape, blk.patch), s)
+
+
+class _Pointwise(Op):
+    """Kinds with a diagonal Jacobian; the cache is its diagonal, which
+    broadcasts against ``[S, B, ...]`` tangents."""
+
+    def jvp(self, blk, deriv, t, tskip):
+        return t * deriv
+
+    vjp = jvp
+
+
+class _Activation(_Pointwise):
+    alias = "act"
+    attrs = (Attr("kind", "act", str),)
+
+    def shape(self, blk, cur, stack):
+        if blk.act not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {blk.act!r}")
+        return cur
+
+    def forward(self, blk, p, a_of, x, skip):
+        f, df = ACTIVATIONS[blk.act]
+        return f(x), df(x)
+
+
+class _BatchNorm(Op):
+    alias = "bn"
+    attrs = (Attr("eps", "eps_bn", float, DEFAULT_BN_EPS),)
+    couples_batch = True
+
+    def shape(self, blk, cur, stack):
+        if len(cur) not in (1, 3):
+            raise ValueError(f"batchnorm expects flat or (C, H, W) input, got {cur}")
+        if blk.eps_bn < 0:
+            raise ValueError("eps_bn must be >= 0")
+        return cur
+
+    def forward(self, blk, p, a_of, x, skip):
+        axes = _bn_axes(x.ndim)
+        m = x.mean(axis=axes, keepdims=True)
+        c = x - m
+        v = (c * c).mean(axis=axes, keepdims=True)
+        s = np.sqrt(v + blk.eps_bn)
+        return c / s, (c, s)
+
+    def jvp(self, blk, cache, t, tskip):
+        c, s = cache
+        axes = tuple(a + 1 for a in _bn_axes(c.ndim))
+        tm = t.mean(axis=axes, keepdims=True)
+        proj = (t * c[None]).mean(axis=axes, keepdims=True)
+        return (t - tm) / s[None] - c[None] * proj / s[None] ** 3
+
+    vjp = jvp  # the batch-normalization Jacobian is symmetric
+
+
+class _Elementwise(_Pointwise):
+    """Per-feature vectors initialized to the value of their fold field."""
+
+    def shape(self, blk, cur, stack):
+        # one entry per feature: last axis for flat/patch data, channel axis for conv data
+        if len(cur) not in (1, 2, 3):
+            raise ValueError(f"no feature axis for shape {cur}")
+        blk.fan_out = cur[0] if len(cur) == 3 else cur[-1]
+        return cur
+
+    def init(self, blk, rng):
+        return {g: np.full(blk.fan_out, getattr(blk, f), dtype=np.float64)
+                for g, f in self.groups.items()}
+
+
+class _Affine(_Elementwise):
+    alias = "affine"
+    attrs = (Attr("alpha", "alpha_init", float, 1.0), Attr("beta", "beta_init", float, 0.0))
+    groups = {"alpha": "alpha_init", "beta": "beta_init"}
+
+    def forward(self, blk, p, a_of, x, skip):
+        al = _vec_shaped(a_of("alpha") * p["alpha"], x.ndim)
+        be = _vec_shaped(a_of("beta") * p["beta"], x.ndim)
+        return al * x + be, al
+
+
+class _LayerScale(_Elementwise):
+    alias = "lscale"
+    attrs = (Attr("eps", "eps_ls", float),)
+    groups = {"scale": "eps_ls"}
+    scan = ("eps_ls",)
+
+    def shape(self, blk, cur, stack):
+        if blk.eps_ls < 0:
+            raise ValueError("eps_ls must be >= 0")
+        return super().shape(blk, cur, stack)
+
+    def forward(self, blk, p, a_of, x, skip):
+        e = _vec_shaped(a_of("scale") * p["scale"], x.ndim)
+        return e * x, e
+
+
+class _ResOpen(Op):
+    alias = "res_open"
+
+    def shape(self, blk, cur, stack):
+        stack.append(cur)
+        return cur
+
+    def forward(self, blk, p, a_of, x, skip):
+        skip.append(x)
+        return x, None
+
+    def jvp(self, blk, cache, t, tskip):
+        tskip.append(t)
+        return t
+
+    def vjp(self, blk, cache, g, gskip):
+        return g + gskip.pop()
+
+
+class _ResClose(Op):
+    alias = "res_close"
+    attrs = (Attr("mu", "mu", float, 1.0),)
+    scan = ("mu",)
+
+    def shape(self, blk, cur, stack):
+        if not stack:
+            raise ValueError("residual close without open")
+        if blk.mu < 0:
+            raise ValueError("mu must be >= 0")
+        opened = stack.pop()
+        if opened != cur:
+            raise ValueError(f"skip shape {opened} != branch shape {cur}")
+        return cur
+
+    def forward(self, blk, p, a_of, x, skip):
+        return x + blk.mu * skip.pop(), None
+
+    def jvp(self, blk, cache, t, tskip):
+        return t + blk.mu * tskip.pop()
+
+    def vjp(self, blk, cache, g, gskip):
+        gskip.append(blk.mu * g)
+        return g
+
+
+class _Flatten(Op):
+    alias = "flatten"
+
+    def shape(self, blk, cur, stack):
+        return (int(np.prod(cur)),)
+
+    def forward(self, blk, p, a_of, x, skip):
+        return flatten_batch(x), x.shape
+
+    def jvp(self, blk, x_shape, t, tskip):
+        return t.reshape(t.shape[0], t.shape[1], -1)
+
+    def vjp(self, blk, x_shape, g, gskip):
+        return g.reshape(g.shape[0], *x_shape)
+
+
+class _AvgPool(Op):
+    alias = "avgpool"
+
+    def shape(self, blk, cur, stack):
+        if len(cur) == 2:
+            return (cur[1],)
+        if len(cur) == 3:
+            return (cur[0],)
+        raise ValueError(f"avgpool expects (P, d) or (C, H, W) input, got {cur}")
+
+    def forward(self, blk, p, a_of, x, skip):
+        axes = (1,) if x.ndim == 3 else (2, 3)
+        return x.mean(axis=axes), (x.shape, axes)
+
+    def jvp(self, blk, cache, t, tskip):
+        return t.mean(axis=tuple(a + 1 for a in cache[1]))
+
+    def vjp(self, blk, cache, g, gskip):
+        x_shape, axes = cache
+        n = int(np.prod([x_shape[a] for a in axes]))
+        out = g / n
+        for a in axes:
+            out = np.expand_dims(out, a + 1)
+        return np.broadcast_to(out, (g.shape[0],) + x_shape).copy()
+
+
+OPS: dict[str, Op] = {
+    "dense": _Dense(),
+    "conv2d": _Conv2d(),
+    "activation": _Activation(),
+    "batchnorm": _BatchNorm(),
+    "affine": _Affine(),
+    "layerscale": _LayerScale(),
+    "res_open": _ResOpen(),
+    "res_close": _ResClose(),
+    "flatten": _Flatten(),
+    "avgpool": _AvgPool(),
+    "patchembed": _PatchEmbed(),
+}
+
+ALL_AUX_GROUPS = frozenset(g for op in OPS.values() for g in op.groups)
 
 
 # --------------------------------------------------------------------------
@@ -346,27 +627,21 @@ ParamSet = list  # list[dict[str, Array]], parallel to spec.blocks
 def init_params(spec: NetworkSpec, rng: RngStream) -> ParamSet:
     """Sample all block parameters: weights N(0, sigma_w^2 / fan_in),
     biases N(0, sigma_b^2), affine at identity, layer scale at eps_ls."""
-    params: ParamSet = []
-    for i, blk in enumerate(spec.blocks):
-        r = rng.child(i)
-        p: dict[str, Array] = {}
-        if blk.kind == "dense":
-            p["W"] = r.normal((blk.fan_out, blk.fan_in), 0.0, blk.sigma_w / np.sqrt(blk.fan_in))
-            p["b"] = r.normal((blk.fan_out,), 0.0, blk.sigma_b)
-        elif blk.kind == "conv2d":
-            std = blk.sigma_w / np.sqrt(blk.fan_in * blk.kernel * blk.kernel)
-            p["W"] = r.normal((blk.fan_out, blk.fan_in, blk.kernel, blk.kernel), 0.0, std)
-            p["b"] = r.normal((blk.fan_out,), 0.0, blk.sigma_b)
-        elif blk.kind == "patchembed":
-            p["W"] = r.normal((blk.fan_out, blk.fan_in), 0.0, blk.sigma_w / np.sqrt(blk.fan_in))
-            p["b"] = r.normal((blk.fan_out,), 0.0, blk.sigma_b)
-        elif blk.kind == "affine":
-            p["alpha"] = np.full(blk.fan_out, blk.alpha_init, dtype=np.float64)
-            p["beta"] = np.full(blk.fan_out, blk.beta_init, dtype=np.float64)
-        elif blk.kind == "layerscale":
-            p["scale"] = np.full(blk.fan_out, blk.eps_ls, dtype=np.float64)
-        params.append(p)
-    return params
+    return [OPS[blk.kind].init(blk, rng.child(i)) for i, blk in enumerate(spec.blocks)]
+
+
+def resolve_aux_groups(groups) -> frozenset:
+    """Group names selected by "default", "all", "none" or a set of names."""
+    if isinstance(groups, str):
+        named = {"default": DEFAULT_AUX_GROUPS, "all": ALL_AUX_GROUPS, "none": frozenset()}
+        if groups not in named:
+            raise ValueError(f"unknown aux groups {groups!r}: use 'default', 'all', "
+                             "'none' or a set of group names")
+        return named[groups]
+    allowed = frozenset(groups)
+    if unknown := sorted(allowed - ALL_AUX_GROUPS):
+        raise ValueError(f"unknown aux groups {unknown}")
+    return allowed
 
 
 class AuxScalars:
@@ -384,20 +659,10 @@ class AuxScalars:
 
     @classmethod
     def ones(cls, spec: NetworkSpec, groups="default") -> "AuxScalars":
-        if groups == "default":
-            allowed = DEFAULT_AUX_GROUPS
-        elif groups == "all":
-            allowed = ALL_AUX_GROUPS
-        elif groups == "none":
-            allowed = frozenset()
-        else:
-            allowed = frozenset(groups)
-            unknown = allowed - ALL_AUX_GROUPS
-            if unknown:
-                raise ValueError(f"unknown aux groups {sorted(unknown)}")
+        allowed = resolve_aux_groups(groups)
         vals = {}
         for i, blk in enumerate(spec.blocks):
-            for g in PARAM_GROUPS.get(blk.kind, ()):
+            for g in OPS[blk.kind].groups:
                 if g in allowed:
                     vals[(i, g)] = 1.0
         return cls(vals)
@@ -446,14 +711,8 @@ def scale_spec_sigmas(spec: NetworkSpec, aux: AuxScalars) -> NetworkSpec:
     blocks = []
     for i, blk in enumerate(spec.blocks):
         blk = replace(blk)
-        if blk.kind in ("dense", "conv2d", "patchembed"):
-            blk.sigma_w *= aux.get(i, "W")
-            blk.sigma_b *= aux.get(i, "b")
-        elif blk.kind == "affine":
-            blk.alpha_init *= aux.get(i, "alpha")
-            blk.beta_init *= aux.get(i, "beta")
-        elif blk.kind == "layerscale":
-            blk.eps_ls *= aux.get(i, "scale")
+        for g, f in OPS[blk.kind].groups.items():
+            setattr(blk, f, getattr(blk, f) * aux.get(i, g))
         blocks.append(blk)
     return NetworkSpec(tuple(blocks), spec.input_shape)
 
@@ -479,7 +738,11 @@ class BatchActivations:
 
 @dataclass
 class ForwardState:
-    """Forward pass with per-block caches, ready for JVP/VJP traversals."""
+    """Forward pass with per-block caches, ready for JVP/VJP traversals.
+
+    ``caches[i]`` is the cache ``OPS[kind].forward`` returned for block
+    ``i``; only that kind's ``jvp`` and ``vjp`` read it.
+    """
 
     spec: NetworkSpec
     params: ParamSet
@@ -540,59 +803,6 @@ def _unpatchify(g: Array, x_shape: tuple[int, ...], p: int) -> Array:
     return g6.reshape(b, c, h, w)
 
 
-def _forward_block(blk: BlockSpec, p: dict, a_of, x: Array, skip: list):
-    """Returns (output, cache); cache holds whatever JVP/VJP need later."""
-    kind = blk.kind
-    if kind == "dense":
-        w = a_of("W") * p["W"]
-        b = a_of("b") * p["b"]
-        if blk.axis == -1:
-            y = x @ w.T + b
-        else:
-            y = np.einsum("bpd,qp->bqd", x, w) + b[None, :, None]
-        return y, ("dense", w, blk.axis, x)
-    if kind == "conv2d":
-        w = a_of("W") * p["W"]
-        b = a_of("b") * p["b"]
-        wmat = w.reshape(blk.fan_out, -1)
-        cols = _im2col(x, blk.kernel, blk.stride, blk.padding)
-        y = (cols @ wmat.T + b).transpose(0, 3, 1, 2)
-        return y, ("conv2d", wmat, x.shape, cols)
-    if kind == "activation":
-        f, df = ACTIVATIONS[blk.act]
-        return f(x), ("elw", df(x))
-    if kind == "batchnorm":
-        axes = _bn_axes(x.ndim)
-        m = x.mean(axis=axes, keepdims=True)
-        c = x - m
-        v = (c * c).mean(axis=axes, keepdims=True)
-        s = np.sqrt(v + blk.eps_bn)
-        return c / s, ("batchnorm", c, s)
-    if kind == "affine":
-        al = _vec_shaped(a_of("alpha") * p["alpha"], x.ndim)
-        be = _vec_shaped(a_of("beta") * p["beta"], x.ndim)
-        return al * x + be, ("scale", al)
-    if kind == "layerscale":
-        e = _vec_shaped(a_of("scale") * p["scale"], x.ndim)
-        return e * x, ("scale", e)
-    if kind == "res_open":
-        skip.append(x)
-        return x, ("res_open",)
-    if kind == "res_close":
-        return x + blk.mu * skip.pop(), ("res_close", blk.mu)
-    if kind == "flatten":
-        return flatten_batch(x), ("reshape", x.shape)
-    if kind == "avgpool":
-        axes = (1,) if x.ndim == 3 else (2, 3)
-        return x.mean(axis=axes), ("avgpool", x.shape, axes)
-    if kind == "patchembed":
-        w = a_of("W") * p["W"]
-        b = a_of("b") * p["b"]
-        pats = _patchify(x, blk.patch)
-        return pats @ w.T + b, ("patchembed", w, x.shape, pats)
-    raise ValueError(f"unknown block kind {kind!r}")
-
-
 def run_network(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Array) -> ForwardState:
     """Forward pass recording boundary activations and per-block caches."""
     x = np.asarray(batch, dtype=np.float64)
@@ -611,7 +821,7 @@ def run_network(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Arr
     skip: list[Array] = []
     for i, blk in enumerate(spec.blocks):
         a_of = lambda g, i=i: aux.get(i, g)
-        x, cache = _forward_block(blk, params[i], a_of, x, skip)
+        x, cache = OPS[blk.kind].forward(blk, params[i], a_of, x, skip)
         caches.append(cache)
         if (i + 1) in cutset:
             bounds.append(flatten_batch(x))
@@ -645,91 +855,6 @@ def _unfold(t: Array, s: int) -> Array:
     return t.reshape(s, t.shape[0] // s, *t.shape[1:])
 
 
-def _bn_tangent(t: Array, c: Array, s: Array) -> Array:
-    # shared by JVP and VJP: the batch-normalization Jacobian is symmetric
-    axes = tuple(a + 1 for a in _bn_axes(c.ndim))
-    tm = t.mean(axis=axes, keepdims=True)
-    proj = (t * c[None]).mean(axis=axes, keepdims=True)
-    return (t - tm) / s[None] - c[None] * proj / s[None] ** 3
-
-
-def _jvp_block(blk: BlockSpec, cache, t: Array, tskip: list) -> Array:
-    tag = cache[0]
-    if tag == "dense":
-        _, w, axis, _ = cache
-        f, s = _fold(t)
-        out = f @ w.T if axis == -1 else np.einsum("bpd,qp->bqd", f, w)
-        return _unfold(out, s)
-    if tag == "conv2d":
-        _, wmat, x_shape, _ = cache
-        f, s = _fold(t)
-        cols = _im2col(f, blk.kernel, blk.stride, blk.padding)
-        return _unfold((cols @ wmat.T).transpose(0, 3, 1, 2), s)
-    if tag == "elw":
-        return t * cache[1][None]
-    if tag == "batchnorm":
-        return _bn_tangent(t, cache[1], cache[2])
-    if tag == "scale":
-        return t * cache[1]
-    if tag == "res_open":
-        tskip.append(t)
-        return t
-    if tag == "res_close":
-        return t + cache[1] * tskip.pop()
-    if tag == "reshape":
-        return t.reshape(t.shape[0], t.shape[1], -1)
-    if tag == "avgpool":
-        _, x_shape, axes = cache
-        return t.mean(axis=tuple(a + 1 for a in axes))
-    if tag == "patchembed":
-        _, w, x_shape, _ = cache
-        f, s = _fold(t)
-        return _unfold(_patchify(f, blk.patch) @ w.T, s)
-    raise ValueError(f"bad cache tag {tag!r}")
-
-
-def _vjp_block(blk: BlockSpec, cache, g: Array, gskip: list) -> Array:
-    tag = cache[0]
-    if tag == "dense":
-        _, w, axis, _ = cache
-        f, s = _fold(g)
-        out = f @ w if axis == -1 else np.einsum("bqd,qp->bpd", f, w)
-        return _unfold(out, s)
-    if tag == "conv2d":
-        _, wmat, x_shape, _ = cache
-        f, s = _fold(g)
-        gcols = f.transpose(0, 2, 3, 1) @ wmat
-        folded_shape = (f.shape[0],) + x_shape[1:]
-        return _unfold(_col2im(gcols, folded_shape, blk.kernel, blk.stride, blk.padding), s)
-    if tag == "elw":
-        return g * cache[1][None]
-    if tag == "batchnorm":
-        return _bn_tangent(g, cache[1], cache[2])
-    if tag == "scale":
-        return g * cache[1]
-    if tag == "res_open":
-        return g + gskip.pop()
-    if tag == "res_close":
-        gskip.append(cache[1] * g)
-        return g
-    if tag == "reshape":
-        _, x_shape = cache
-        return g.reshape(g.shape[0], *x_shape)
-    if tag == "avgpool":
-        _, x_shape, axes = cache
-        n = int(np.prod([x_shape[a] for a in axes]))
-        out = g / n
-        for a in axes:
-            out = np.expand_dims(out, a + 1)
-        return np.broadcast_to(out, (g.shape[0],) + x_shape).copy()
-    if tag == "patchembed":
-        _, w, x_shape, _ = cache
-        f, s = _fold(g)
-        folded_shape = (f.shape[0],) + x_shape[1:]
-        return _unfold(_unpatchify(f @ w, folded_shape, blk.patch), s)
-    raise ValueError(f"bad cache tag {tag!r}")
-
-
 def jvp_segment(state: ForwardState, b0: int, b1: int, tangent: Array) -> Array:
     """Push ``[S, B, N_b0]`` tangents forward from boundary b0 to b1."""
     spec = state.spec
@@ -738,7 +863,8 @@ def jvp_segment(state: ForwardState, b0: int, b1: int, tangent: Array) -> Array:
     t = t.reshape(t.shape[0], t.shape[1], *spec.boundary_shape(b0))
     tskip: list[Array] = []
     for i in seg:
-        t = _jvp_block(spec.blocks[i], state.caches[i], t, tskip)
+        blk = spec.blocks[i]
+        t = OPS[blk.kind].jvp(blk, state.caches[i], t, tskip)
     return t.reshape(t.shape[0], t.shape[1], -1)
 
 
@@ -750,46 +876,6 @@ def vjp_segment(state: ForwardState, b0: int, b1: int, cotangent: Array) -> Arra
     g = g.reshape(g.shape[0], g.shape[1], *spec.boundary_shape(b1))
     gskip: list[Array] = []
     for i in reversed(seg):
-        g = _vjp_block(spec.blocks[i], state.caches[i], g, gskip)
+        blk = spec.blocks[i]
+        g = OPS[blk.kind].vjp(blk, state.caches[i], g, gskip)
     return g.reshape(g.shape[0], g.shape[1], -1)
-
-
-def vjp_params(state: ForwardState, cotangent: Array) -> dict[tuple[int, str], Array]:
-    """Gradients of <cotangent, output> w.r.t. the base parameters.
-
-    ``cotangent`` has the shape of the final boundary ``[B, N_out]``. Used
-    by trainability probes; covers the parameterized block kinds.
-    """
-    spec = state.spec
-    g = np.asarray(cotangent, dtype=np.float64)[None]
-    g = g.reshape(1, g.shape[1], *spec.boundary_shape(spec.n_boundaries - 1))
-    grads: dict[tuple[int, str], Array] = {}
-    gskip: list[Array] = []
-    for i in reversed(range(len(spec.blocks))):
-        blk, cache = spec.blocks[i], state.caches[i]
-        if cache[0] == "dense":
-            _, w, axis, x = cache
-            gb = g[0]
-            aw, ab = state.aux.get(i, "W"), state.aux.get(i, "b")
-            if axis == -1:
-                gf = gb.reshape(-1, gb.shape[-1])
-                xf = x.reshape(-1, x.shape[-1])
-                grads[(i, "W")] = aw * (gf.T @ xf)
-                grads[(i, "b")] = ab * gf.sum(axis=0)
-            else:
-                grads[(i, "W")] = aw * np.einsum("bqd,bpd->qp", gb, x)
-                grads[(i, "b")] = ab * gb.sum(axis=(0, 2))
-        elif cache[0] == "conv2d":
-            _, wmat, x_shape, cols = cache
-            gb = g[0].transpose(0, 2, 3, 1)
-            aw, ab = state.aux.get(i, "W"), state.aux.get(i, "b")
-            gw = np.einsum("bhwo,bhwc->oc", gb, cols)
-            grads[(i, "W")] = aw * gw.reshape(blk.fan_out, blk.fan_in, blk.kernel, blk.kernel)
-            grads[(i, "b")] = ab * gb.sum(axis=(0, 1, 2))
-        elif cache[0] == "patchembed":
-            _, w, x_shape, pats = cache
-            aw, ab = state.aux.get(i, "W"), state.aux.get(i, "b")
-            grads[(i, "W")] = aw * np.einsum("bpd,bpc->dc", g[0], pats)
-            grads[(i, "b")] = ab * g[0].sum(axis=(0, 1))
-        g = _vjp_block(blk, cache, g, gskip)
-    return grads

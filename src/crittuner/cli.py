@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from .apjn import apjn_profile
-from .blocks import AuxScalars, NetworkSpec, forward, init_params
+from .blocks import OPS, AuxScalars, NetworkSpec, forward, init_params
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -173,18 +173,8 @@ def _apply_axis(cfg: ExperimentConfig, name: str, value: float) -> ExperimentCon
         cfg.tune = replace(cfg.tune, eta=float(value))
         return cfg
     net = _require_network(cfg)
-    blocks = []
-    for blk in net.blocks:
-        blk = replace(blk)
-        if name == "sigma_w" and blk.kind in ("dense", "conv2d", "patchembed"):
-            blk.sigma_w = float(value)
-        elif name == "sigma_b" and blk.kind in ("dense", "conv2d", "patchembed"):
-            blk.sigma_b = float(value)
-        elif name == "mu" and blk.kind == "res_close":
-            blk.mu = float(value)
-        elif name == "eps_ls" and blk.kind == "layerscale":
-            blk.eps_ls = float(value)
-        blocks.append(blk)
+    blocks = [replace(blk, **{name: float(value)}) if name in OPS[blk.kind].scan else blk
+              for blk in net.blocks]
     cfg.network = NetworkSpec(tuple(blocks), net.input_shape)
     return cfg
 

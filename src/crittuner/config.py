@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .blocks import BlockSpec, NetworkSpec
+from .blocks import OPS, BlockSpec, NetworkSpec
 from .tuner import TuneConfig
 
 
@@ -30,13 +30,8 @@ class ConfigError(ValueError):
     """Malformed configuration; message carries line/field context."""
 
 
-_KIND_TO_ALIAS = {
-    "dense": "dense", "conv2d": "conv", "activation": "act", "batchnorm": "bn",
-    "affine": "affine", "layerscale": "lscale", "res_open": "res_open",
-    "res_close": "res_close", "flatten": "flatten", "avgpool": "avgpool",
-    "patchembed": "patch",
-}
-_ALIAS_TO_KIND = {v: k for k, v in _KIND_TO_ALIAS.items()}
+_ALIAS_TO_KIND = {op.alias: kind for kind, op in OPS.items()}
+_SCAN_AXES = {"eta"} | {f for op in OPS.values() for f in op.scan}
 
 
 @dataclass
@@ -90,28 +85,12 @@ def _fmt(v) -> str:
 
 
 def block_to_line(blk: BlockSpec) -> str:
-    alias = _KIND_TO_ALIAS[blk.kind]
-    parts = [alias]
-    if blk.kind == "dense":
-        parts += [f"out={blk.fan_out}", f"sigma_w={_fmt(blk.sigma_w)}", f"sigma_b={_fmt(blk.sigma_b)}"]
-        if blk.axis != -1:
-            parts.append(f"axis={blk.axis}")
-    elif blk.kind == "conv2d":
-        parts += [f"out={blk.fan_out}", f"k={blk.kernel}", f"stride={blk.stride}",
-                  f"pad={blk.padding}", f"sigma_w={_fmt(blk.sigma_w)}", f"sigma_b={_fmt(blk.sigma_b)}"]
-    elif blk.kind == "activation":
-        parts.append(f"kind={blk.act}")
-    elif blk.kind == "batchnorm":
-        parts.append(f"eps={_fmt(blk.eps_bn)}")
-    elif blk.kind == "affine":
-        parts += [f"alpha={_fmt(blk.alpha_init)}", f"beta={_fmt(blk.beta_init)}"]
-    elif blk.kind == "layerscale":
-        parts.append(f"eps={_fmt(blk.eps_ls)}")
-    elif blk.kind == "res_close":
-        parts.append(f"mu={_fmt(blk.mu)}")
-    elif blk.kind == "patchembed":
-        parts += [f"p={blk.patch}", f"dim={blk.fan_out}",
-                  f"sigma_w={_fmt(blk.sigma_w)}", f"sigma_b={_fmt(blk.sigma_b)}"]
+    op = OPS[blk.kind]
+    parts = [op.alias]
+    for a in op.attrs:
+        value = getattr(blk, a.field)
+        if not (a.omit_default and value == a.default):
+            parts.append(f"{a.key}={_fmt(value)}")
     if blk.boundary:
         parts.append("boundary")
     return " ".join(parts)
@@ -135,45 +114,17 @@ def block_from_line(line: str) -> BlockSpec:
             raise ConfigError(f"bad block attribute {tok!r}")
         k, v = tok.split("=", 1)
         kv[k] = v
-    def take(name, cast, default=None):
-        if name in kv:
-            try:
-                return cast(kv.pop(name))
-            except ValueError:
-                raise ConfigError(f"bad value for {name!r} in block {alias!r}") from None
-        if default is None:
-            raise ConfigError(f"block {alias!r} needs attribute {name!r}")
-        return default
-
     blk = BlockSpec(kind, boundary=boundary)
-    if kind == "dense":
-        blk.fan_out = take("out", int)
-        blk.sigma_w = take("sigma_w", float)
-        blk.sigma_b = take("sigma_b", float, 0.0)
-        blk.axis = take("axis", int, -1)
-    elif kind == "conv2d":
-        blk.fan_out = take("out", int)
-        blk.kernel = take("k", int)
-        blk.stride = take("stride", int, 1)
-        blk.padding = take("pad", int, 0)
-        blk.sigma_w = take("sigma_w", float)
-        blk.sigma_b = take("sigma_b", float, 0.0)
-    elif kind == "activation":
-        blk.act = take("kind", str)
-    elif kind == "batchnorm":
-        blk.eps_bn = take("eps", float, 1e-5)
-    elif kind == "affine":
-        blk.alpha_init = take("alpha", float, 1.0)
-        blk.beta_init = take("beta", float, 0.0)
-    elif kind == "layerscale":
-        blk.eps_ls = take("eps", float)
-    elif kind == "res_close":
-        blk.mu = take("mu", float, 1.0)
-    elif kind == "patchembed":
-        blk.patch = take("p", int)
-        blk.fan_out = take("dim", int)
-        blk.sigma_w = take("sigma_w", float)
-        blk.sigma_b = take("sigma_b", float, 0.0)
+    for a in OPS[kind].attrs:
+        if a.key in kv:
+            try:
+                setattr(blk, a.field, a.cast(kv.pop(a.key)))
+            except ValueError:
+                raise ConfigError(f"bad value for {a.key!r} in block {alias!r}") from None
+        elif a.default is None:
+            raise ConfigError(f"block {alias!r} needs attribute {a.key!r}")
+        else:
+            setattr(blk, a.field, a.default)
     if kv:
         raise ConfigError(f"unknown attributes {sorted(kv)} for block {alias!r}")
     return blk
@@ -274,7 +225,7 @@ def _apply_key(cfg: ExperimentConfig, key: str, value: str, blocks, tune_kv):
         cfg.scan.mode = value
     elif key.startswith("scan.axis."):
         name = key[len("scan.axis."):]
-        if name not in ("sigma_w", "sigma_b", "mu", "eta", "eps_ls"):
+        if name not in _SCAN_AXES:
             raise ConfigError(f"unknown scan axis {name!r}")
         parts = value.split()
         if len(parts) != 3:

@@ -11,8 +11,7 @@ statistically independent streams. Grid scans exploit this by assigning
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,13 +86,3 @@ def flatten(t: Array) -> Array:
 def flatten_batch(t: Array) -> Array:
     """Flatten all but the leading (batch) axis: [B, ...] -> [B, N]."""
     return np.ascontiguousarray(t).reshape(t.shape[0], -1)
-
-
-def assert_finite(t: Array, what: str = "tensor") -> Array:
-    if not np.all(np.isfinite(t)):
-        raise FloatingPointError(f"{what} contains non-finite values")
-    return t
-
-
-def prod(shape: Iterable[int]) -> int:
-    return int(math.prod(shape))

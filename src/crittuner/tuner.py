@@ -22,9 +22,11 @@ import numpy as np
 
 from .apjn import estimate_segment, exact_apjn
 from .blocks import (
+    OPS,
     AuxScalars,
     NetworkSpec,
     ParamSet,
+    resolve_aux_groups,
     run_network,
     scale_params,
     scale_spec_sigmas,
@@ -82,6 +84,9 @@ class TuneConfig:
             raise ValueError(f"unknown span {self.span!r}")
         if self.n_v < 0:
             raise ValueError("n_v must be >= 0")
+        if self.probe_mode not in ("auto", "output", "input"):
+            raise ValueError(f"unknown probe mode {self.probe_mode!r}")
+        resolve_aux_groups(self.aux_groups)
 
 
 @dataclass
@@ -148,16 +153,17 @@ def _pair_list(spec: NetworkSpec, span: str) -> list[int]:
     return list(range(lo, top))
 
 
-def _measure(spec, params, aux, batch, cfg: TuneConfig, pairs, probe_rng: Callable):
-    """Per-pair norms plus kernels; probe_rng(l) must be reproducible so the
-    same stream is reused across finite-difference re-evaluations."""
+def _measure(spec, params, aux, batch, cfg: TuneConfig, pairs, rng: RngStream):
+    """Per-pair norms plus kernels. Pair l draws its probes from
+    ``rng.child(l)``, so every measurement with the same ``rng`` reuses the
+    same probes (common random numbers across finite differences)."""
     state = run_network(spec, params, aux, batch)
     js = np.empty(len(pairs))
     for n, l in enumerate(pairs):
         if cfg.n_v == 0:
             js[n] = exact_apjn(spec, params, aux, batch, l, l + 1, state=state)
         else:
-            js[n], _, _ = estimate_segment(state, l, l + 1, cfg.n_v, probe_rng(l),
+            js[n], _, _ = estimate_segment(state, l, l + 1, cfg.n_v, rng.child(l),
                                            probe_mode=cfg.probe_mode)
     ks = kernel_profile(state.activations)[pairs[0]:pairs[-1] + 2]
     return js, ks
@@ -186,19 +192,10 @@ def _pair_weight_blocks(spec: NetworkSpec, pairs) -> dict[int, int]:
     owner: dict[int, int] = {}
     for l in pairs:
         weighted = [i for i in spec.segment(l, l + 1)
-                    if spec.blocks[i].kind in ("dense", "conv2d", "patchembed")]
+                    if "W" in OPS[spec.blocks[i].kind].groups]
         if len(weighted) == 1:
             owner[l] = weighted[0]
     return owner
-
-
-def _block_pair_map(spec: NetworkSpec, pairs) -> dict[int, int]:
-    """block index -> pair whose segment contains it."""
-    out = {}
-    for l in pairs:
-        for i in spec.segment(l, l + 1):
-            out[i] = l
-    return out
 
 
 def grad_aux(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Array,
@@ -213,10 +210,9 @@ def grad_aux(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Array,
     scalars get zero.
     """
     pairs = _pair_list(spec, cfg.span)
-    probe_rng = lambda l: rng.child(l)
     if cfg.grad_mode == "analytic-relu":
         if js is None:
-            js, _ = _measure(spec, params, aux, batch, cfg, pairs, probe_rng)
+            js, _ = _measure(spec, params, aux, batch, cfg, pairs, rng)
         if not np.all(np.isfinite(js) & (js > 0)):
             raise DivergenceError("measured norms left the positive domain",
                                   trace or TuneTrace(pairs[0], aux.keys()))
@@ -228,9 +224,9 @@ def grad_aux(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Array,
     for n, key in enumerate(keys):
         vec = base.copy()
         vec[n] = base[n] * (1.0 + h)
-        jp, kp = _measure(spec, params, aux.with_vector(vec), batch, cfg, pairs, probe_rng)
+        jp, kp = _measure(spec, params, aux.with_vector(vec), batch, cfg, pairs, rng)
         vec[n] = base[n] * (1.0 - h)
-        jm, km = _measure(spec, params, aux.with_vector(vec), batch, cfg, pairs, probe_rng)
+        jm, km = _measure(spec, params, aux.with_vector(vec), batch, cfg, pairs, rng)
         lp, lm = _loss_of(cfg, jp, kp), _loss_of(cfg, jm, km)
         if not (math.isfinite(lp) and math.isfinite(lm)):
             raise DivergenceError(f"perturbed loss non-finite at {key}",
@@ -241,7 +237,7 @@ def grad_aux(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Array,
 
 def _grad_analytic(spec: NetworkSpec, aux: AuxScalars, cfg: TuneConfig, pairs, js):
     if cfg.loss == "jkl":
-        sigmas_b = [b.sigma_b for b in spec.blocks if b.kind in ("dense", "conv2d", "patchembed")]
+        sigmas_b = [b.sigma_b for b in spec.blocks if "W" in OPS[b.kind].groups]
         if any(s != 0 for s in sigmas_b):
             raise ValueError("analytic gradients for the kernel loss need sigma_b = 0")
     owners = _pair_weight_blocks(spec, pairs)
@@ -262,11 +258,6 @@ def _grad_analytic(spec: NetworkSpec, aux: AuxScalars, cfg: TuneConfig, pairs, j
     return grads
 
 
-def _pair_sigma_w(spec: NetworkSpec, pairs) -> dict[int, float]:
-    owners = _pair_weight_blocks(spec, pairs)
-    return {l: spec.blocks[i].sigma_w for l, i in owners.items()}
-
-
 # --------------------------------------------------------------------------
 # the tuning loop
 # --------------------------------------------------------------------------
@@ -277,11 +268,12 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
     ``t_max`` steps elapse.
 
     The parameter draw is fixed throughout; the batch too, unless
-    ``fresh_batch`` and a ``batch_provider(t)`` are given. On exit the
-    scalars are folded into the returned model: either into the sigmas and
-    parameters ("scale-sigmas") or kept as frozen multipliers
-    ("freeze-aux"). A non-finite loss raises :class:`DivergenceError`
-    carrying the partial trace.
+    ``fresh_batch`` and a ``batch_provider(t)`` are given: then step t
+    measures and takes its gradient on ``batch_provider(t)``, called once
+    per step. On exit the scalars are folded into the returned model:
+    either into the sigmas and parameters ("scale-sigmas") or kept as
+    frozen multipliers ("freeze-aux"). A non-finite loss raises
+    :class:`DivergenceError` carrying the partial trace.
     """
     pairs = _pair_list(spec, cfg.span)
     aux = AuxScalars.ones(spec, cfg.aux_groups)
@@ -289,13 +281,15 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
     if not keys:
         raise ValueError("no tunable scalars for the chosen aux groups")
     trace = TuneTrace(pairs[0], keys)
-    sigma_of_pair = _pair_sigma_w(spec, pairs)
     owners = _pair_weight_blocks(spec, pairs)
+    sigma_of_pair = {l: spec.blocks[i].sigma_w for l, i in owners.items()}
 
-    def measure_at(t: int, aux_now: AuxScalars):
+    def measure(t: int, aux_now: AuxScalars):
+        # step t's batch and stream, reused by its gradient
+        step_batch = batch_provider(t) if cfg.fresh_batch and batch_provider is not None else batch
         step_rng = rng.child(t)
-        return _measure(spec, params, aux_now, batch, cfg, pairs,
-                        lambda l: step_rng.child(l))
+        js, ks = _measure(spec, params, aux_now, step_batch, cfg, pairs, step_rng)
+        return step_batch, step_rng, js, ks
 
     def need_pair_sigmas():
         missing = [l for l in pairs if l not in sigma_of_pair]
@@ -303,16 +297,14 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
             raise ValueError(f"schedule needs one weight block per pair; pairs {missing} differ")
 
     t = 0
-    js, ks = _measure_fresh(spec, params, aux, batch, cfg, pairs, rng, t,
-                            batch_provider)
+    step_batch, step_rng, js, ks = measure(t, aux)
     loss = _loss_of(cfg, js, ks)
     trace.append(TuneStep(t, loss, js.copy(), aux.as_vector(), 0.0))
     if not math.isfinite(loss):
         raise DivergenceError("initial loss non-finite", trace)
 
     while t < cfg.t_max and loss > cfg.eps:
-        step_rng = rng.child(t)
-        grads = grad_aux(spec, params, aux, batch, cfg, step_rng,
+        grads = grad_aux(spec, params, aux, step_batch, cfg, step_rng,
                          js=js if cfg.grad_mode == "analytic-relu" else None,
                          trace=trace)
         if cfg.schedule == "constant":
@@ -339,7 +331,7 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
         new_vals = {key: aux.get(*key) - rates[key] * grads.get(key, 0.0) for key in keys}
         aux = AuxScalars(new_vals).clamped(*cfg.aux_clamp)
         t += 1
-        js, ks = _measure_fresh(spec, params, aux, batch, cfg, pairs, rng, t, batch_provider)
+        step_batch, step_rng, js, ks = measure(t, aux)
         loss = _loss_of(cfg, js, ks)
         if not math.isfinite(loss):
             trace.append(TuneStep(t, float("inf"), js.copy(), aux.as_vector(), eta_used))
@@ -355,13 +347,6 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
     return TuneResult(spec, params, aux, trace, converged, t)
 
 
-def _measure_fresh(spec, params, aux, batch, cfg, pairs, rng, t, batch_provider):
-    if cfg.fresh_batch and batch_provider is not None:
-        batch = batch_provider(t)
-    step_rng = rng.child(t)
-    return _measure(spec, params, aux, batch, cfg, pairs, lambda l: step_rng.child(l))
-
-
 # --------------------------------------------------------------------------
 # closed-form learning rates (ReLU stacks)
 # --------------------------------------------------------------------------
@@ -369,13 +354,12 @@ def _measure_fresh(spec, params, aux, batch, cfg, pairs, rng, t, batch_provider)
 _J_ONE_TOL = 1e-12
 
 
-def eta_bound(j, sigma_w: float, a_w=None, loss: str = "jll") -> float:
+def eta_bound(j, sigma_w: float, loss: str = "jll") -> float:
     """Largest stable rate at the current norms: below this bound,
     |sqrt(J) - 1| shrinks monotonically for every layer.
 
-    The bound depends on the scalars only through the measured norms, so
-    ``a_w`` is accepted for interface symmetry but unused. At J = 1 the log
-    form takes its limit value 1 / sigma_w^2.
+    The bound depends on the scalars only through the measured norms. At
+    J = 1 the log form takes its limit value 1 / sigma_w^2.
     """
     arr = np.atleast_1d(np.asarray(j, dtype=np.float64))
     if np.any(arr <= 0):

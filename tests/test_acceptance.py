@@ -5,7 +5,8 @@ prints a PASS/FAIL line, so ``pytest -s tests/test_acceptance.py`` doubles
 as a readable report. The same suites back ``crit-tuner verify``.
 
 Run times are dominated by the width-500 networks; the full module takes a
-few minutes on a desktop CPU.
+few minutes on a desktop CPU. The nine checks that take more than ten
+seconds each are marked ``slow``, so ``pytest -m "not slow"`` skips them.
 """
 
 import math
@@ -25,6 +26,7 @@ def _run(fn, *args, **kwargs):
 
 # 1. one-block norms of a plain ReLU stack sit at sigma_w^2 / 2 (width 500,
 #    depth 10, sigma_w in {1, sqrt 2, 2}, 5% tolerance)
+@pytest.mark.slow
 def test_01_criticality_line():
     _run(verify.criticality_line, 0, width=500, depth=10, batch=4, samples=20,
          sigmas=(1.0, math.sqrt(2.0), 2.0), tol=0.05)
@@ -32,6 +34,7 @@ def test_01_criticality_line():
 
 # 2. one-shot tuning with the per-layer rate lands every norm in [0.95, 1.05]
 #    for both the log and square losses (sigma_w = 2, width 500, depth 10)
+@pytest.mark.slow
 def test_02_one_step_tuning():
     _run(verify.one_step_tuning, 0, width=500, depth=10, sigma_w=2.0, batch=32,
          band=(0.95, 1.05))
@@ -40,6 +43,7 @@ def test_02_one_step_tuning():
 # 3. 980-step scans across the rate/gain plane: empirical convergence into
 #    0.8 < J < 1.25 matches the exact-map prediction on all 12 points, with
 #    rates straddling the t=0 estimate
+@pytest.mark.slow
 def test_03_convergence_band():
     _run(verify.convergence_band, 0, width=500, depth=10, batch=4, steps=980,
          sigmas=(1.8, 2.6, 3.4))
@@ -47,6 +51,7 @@ def test_03_convergence_band():
 
 # 4. tuned norms track the iterated exact map within 2% at every one of 50
 #    steps (width 500)
+@pytest.mark.slow
 def test_04_trajectory_match():
     _run(verify.trajectory_match, 0, width=500, steps=50, tol=0.02)
 
@@ -54,18 +59,21 @@ def test_04_trajectory_match():
 # 5. normalized residual stack without skips: layer-30 norm within 5% of
 #    pi/(pi-1) across six (sigma_w, sigma_b) grid points, 20 seeds,
 #    width 500, batch 256
+@pytest.mark.slow
 def test_05_bn_chaos_value():
     _run(verify.bn_chaos, 0, depth=30, width=500, batch=256, n_v=16, seeds=20,
          tol=0.05)
 
 
 # 6. same stack with unit skips: layer-30 norm within 0.05 of 1
+@pytest.mark.slow
 def test_06_bn_residual_criticality():
     _run(verify.bn_residual_critical, 0, depth=30, width=500, batch=256, n_v=16,
          seeds=20, tol=0.05)
 
 
 # 7. batch-size saturation: |J(128) - J(256)| / J(256) below 1%
+@pytest.mark.slow
 def test_07_bn_batch_saturation():
     _run(verify.bn_batch_saturation, 0, depth=30, width=500, n_v=16, seeds=10,
          tol=0.01)
@@ -73,6 +81,7 @@ def test_07_bn_batch_saturation():
 
 # 8. patch-mixing residual network: measured block norms within 10% of the
 #    closed forms over the (mu, branch scale, sigma_w) grid, both activations
+@pytest.mark.slow
 def test_08_resmlp_closed_form():
     _run(verify.resmlp_closed_form, 0, dim=64, n_blocks=3, batch=2, samples=20,
          tol=0.10)
@@ -87,6 +96,7 @@ def test_09_estimator_unbiasedness():
 
 # 10. two-boundary factorization: median relative residual at width 1000
 #     below 5% and decreasing over widths {100, 300, 1000}
+@pytest.mark.slow
 def test_10_factorization():
     _run(verify.factorization, 0, widths=(100, 300, 1000), depth=3, batch=4,
          seeds=20, tol=0.05)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from crittuner.blocks import (
+    OPS,
     AuxScalars,
     NetworkSpec,
     activation,
@@ -27,7 +28,6 @@ from crittuner.blocks import (
     residual_open,
     run_network,
     vjp_segment,
-    vjp_params,
 )
 from crittuner.presets import prebn_residual_mlp, resmlp_toy
 from crittuner.tensor import RngStream
@@ -120,24 +120,6 @@ def test_stacked_probes_match_loop():
         assert np.allclose(stacked[s], single[0], rtol=1e-13)
 
 
-def test_param_gradients_match_numeric():
-    spec = NetworkSpec((dense(6, 1.2, 0.4), activation("tanh"),
-                        dense(4, 1.0, boundary=True)), (5,))
-    rng = RngStream(31)
-    params = init_params(spec, rng.child(1))
-    aux = AuxScalars.ones(spec)
-    x = rng.child(2).normal((3, 5))
-    state = run_network(spec, params, aux, x)
-    out = state.boundary(spec.n_boundaries - 1)
-    grads = vjp_params(state, out)  # gradient of 0.5 * sum(out^2)
-    h = 1e-6
-    w = params[0]["W"]
-    for idx in [(0, 0), (2, 3), (5, 4)]:
-        wp = w.copy(); wp[idx] += h
-        wm = w.copy(); wm[idx] -= h
-        up = run_network(spec, [{**params[0], "W": wp}] + params[1:], aux, x)
-        um = run_network(spec, [{**params[0], "W": wm}] + params[1:], aux, x)
-        fp = 0.5 * float(np.sum(up.boundary(spec.n_boundaries - 1) ** 2))
-        fm = 0.5 * float(np.sum(um.boundary(spec.n_boundaries - 1) ** 2))
-        num = (fp - fm) / (2 * h)
-        assert abs(grads[(0, "W")][idx] - num) < 1e-5 * max(1.0, abs(num))
+def test_every_block_kind_has_a_case():
+    covered = {blk.kind for spec in CASES.values() for blk in spec.blocks}
+    assert set(OPS) <= covered, sorted(set(OPS) - covered)

@@ -1,8 +1,9 @@
 import math
+from pathlib import Path
 
 import pytest
 
-from crittuner.blocks import NetworkSpec
+from crittuner.blocks import NetworkSpec, conv2d, dense, flatten_block
 from crittuner.config import (
     ConfigError,
     block_from_line,
@@ -10,7 +11,9 @@ from crittuner.config import (
     parse_config,
     serialize_config,
 )
-from crittuner.presets import prebn_residual_mlp, relu_mlp, resmlp_toy
+from crittuner.presets import conv_bn_relu_stack, prebn_residual_mlp, relu_mlp, resmlp_toy
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 EXAMPLE = """
 # ten-layer stack at criticality
@@ -67,6 +70,11 @@ def test_round_trip_identity():
     lambda: relu_mlp(3, 16, math.sqrt(2.0), 0.1),
     lambda: prebn_residual_mlp(2, 8, 1.5, 0.5, mu=0.8),
     lambda: resmlp_toy(2, 8, 1.2, mu=1.0, eps_ls=0.1, image=(3, 8, 8), patch=4),
+    lambda: resmlp_toy(1, 8, 1.2, 0.3, mu=0.5, eps_ls=0.1, image=(3, 8, 8), patch=4,
+                       with_head=True),
+    lambda: conv_bn_relu_stack((4, 6), 1.5, 0.2, image=(3, 8, 8), eps_bn=1e-3),
+    lambda: NetworkSpec((conv2d(4, 3, 1.1, stride=2, padding=1), flatten_block(boundary=True),
+                         dense(5, 0.9, boundary=True)), (2, 7, 7)),
 ])
 def test_network_block_lines_round_trip(spec_fn):
     spec = spec_fn()
@@ -92,6 +100,19 @@ def test_parse_errors_carry_line_numbers():
         parse_config("scan.axis.sigma_w = 0.5 2.0\n")
     with pytest.raises(ConfigError, match="tune"):
         parse_config("tune.loss = l2\n")
+    with pytest.raises(ConfigError, match="probe mode"):
+        parse_config("tune.probe_mode = bogus\n")
+    with pytest.raises(ConfigError, match="aux groups"):
+        parse_config("tune.aux = alpha,gamma\n")
+
+
+def test_sample_config_block_lines_round_trip_exactly():
+    lines = [line.split("=", 1)[1].strip()
+             for path in sorted(CONFIGS.glob("*.cfg"))
+             for line in path.read_text().splitlines() if line.startswith("net.block.")]
+    assert lines
+    for line in lines:
+        assert block_to_line(block_from_line(line)) == line
 
 
 def test_block_order_from_indices():

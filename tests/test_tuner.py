@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crittuner.apjn import exact_apjn
-from crittuner.blocks import AuxScalars, forward, init_params, run_network, vjp_params
+from crittuner.blocks import AuxScalars, forward, init_params, run_network, vjp_segment
 from crittuner.presets import linear_mlp, relu_mlp
 from crittuner.tensor import RngStream
 from crittuner.tuner import (
@@ -120,6 +120,25 @@ def test_jsl_analytic_gradient():
 
 # -- the loop ------------------------------------------------------------------
 
+def test_config_rejects_unknown_probe_mode_and_aux_groups():
+    with pytest.raises(ValueError, match="probe mode"):
+        TuneConfig(eta=0.1, probe_mode="bogus")
+    with pytest.raises(ValueError, match="'default', 'all', 'none'"):
+        TuneConfig(eta=0.1, aux_groups="alpha")
+    assert TuneConfig(eta=0.1, aux_groups={"W"}).aux_groups == {"W"}
+
+
+def test_fresh_batch_gradient_uses_the_step_batch():
+    spec = relu_mlp(2, 20, 2.0)
+    x, params, rng = _setup(spec, 15, 6)
+    provider = lambda t: RngStream(99).child(t).normal(x.shape)
+    base = dict(loss="jll", eta=0.1, t_max=1, n_v=2)
+    fresh = tune(spec, params, x, TuneConfig(**base, fresh_batch=True), rng.child(3),
+                 batch_provider=provider)
+    fixed = tune(spec, params, provider(0), TuneConfig(**base), rng.child(3))
+    assert np.array_equal(fresh.trace.steps[1].aux, fixed.trace.steps[1].aux)
+
+
 def test_one_step_schedule_reaches_band():
     spec = relu_mlp(6, 300, 2.0)
     x, params, rng = _setup(spec, 7, 16)
@@ -220,10 +239,17 @@ def test_gradient_flow_ratio_improves_after_tuning():
 
     def ratio(spec_, params_, aux_):
         state = run_network(spec_, params_, aux_, x)
-        out = state.boundary(spec_.n_boundaries - 1)
-        grads = vjp_params(state, out)   # gradient of 0.5 * sum(out^2)
-        return (float(np.linalg.norm(grads[(0, "b")]))
-                / float(np.linalg.norm(grads[(2 * (depth - 1), "b")])))
+        top = spec_.n_boundaries - 1
+        out = state.boundary(top)
+
+        def bias_grad(k):
+            # gradient of 0.5 * sum(out^2) w.r.t. the bias of dense block 2k
+            # (all scalars 1): the cotangent at boundary k+1 through the ReLU
+            c = out if k + 1 == top else vjp_segment(state, k + 1, top, out[None])[0]
+            return ((state.boundary(k + 1) > 0) * c).sum(axis=0)
+
+        return (float(np.linalg.norm(bias_grad(0)))
+                / float(np.linalg.norm(bias_grad(depth - 1))))
 
     before = ratio(spec, params, AuxScalars.ones(spec))
     cfg = TuneConfig(loss="jll", eta=0.05, t_max=60, n_v=0, grad_mode="analytic-relu")
