@@ -5,7 +5,8 @@ flattened boundary activation with respect to an earlier one, normalized by
 batch size and output width. ``exact_apjn`` accumulates it from basis
 tangents (forward columns or reverse rows, whichever side is narrower);
 ``estimate_apjn`` is the unbiased Monte-Carlo version driven by Gaussian
-probe vectors, one JVP/VJP sweep per probe.
+probe vectors, one JVP/VJP sweep per probe. ``scalar_gradient`` is the
+exact gradient of either, with its probes, in the twin network's scalars.
 
 Networks without batch normalization have batch-block-diagonal Jacobians,
 so both paths collapse the batch index and a single broadcast basis covers
@@ -16,18 +17,22 @@ structure is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .blocks import (
+    OPS,
     AuxScalars,
     ForwardState,
     NetworkSpec,
     ParamSet,
     init_params,
     jvp_segment,
+    pullback_segment,
     run_network,
+    segment_inputs,
     vjp_segment,
 )
 from .tensor import Array, RngStream
@@ -90,6 +95,32 @@ def _row_stacks(rows: Array, bsz: int, per_sample: bool) -> Iterator[Array]:
             yield t
 
 
+def _probes(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngStream | None,
+            probe_mode: str) -> tuple[bool, Iterable[Iterable[Array]]]:
+    """Sweep direction (True: forward) and, per probe, its tangent stacks.
+
+    ``n_v = 0`` gives one probe, the basis of the narrower side. Otherwise
+    each of the ``n_v`` probes is a fresh draw from ``rng``, taken lazily in
+    probe order: "output" probes are a Gaussian row on the upper boundary,
+    "input" probes a Gaussian tangent on the lower one.
+    """
+    spec = state.spec
+    d0, d1 = spec.boundary_dim(l0), spec.boundary_dim(l1)
+    bsz = state.batch_size
+    coupled = spec.segment_has_batchnorm(l0, l1)
+    if n_v == 0:
+        forward = d0 <= d1
+        return forward, [_row_stacks(np.eye(d0 if forward else d1), bsz, coupled)]
+    mode = probe_mode
+    if mode == "auto":
+        mode = "input" if coupled else "output"
+    if mode == "output":
+        return False, (_row_stacks(rng.normal(d1)[None], bsz, coupled) for _ in range(n_v))
+    if mode == "input":
+        return True, ([rng.normal((1, bsz, d0))] for _ in range(n_v))
+    raise ValueError(f"unknown probe mode {probe_mode!r}")
+
+
 def _sweep_ssq(state: ForwardState, l0: int, l1: int, stacks: Iterable[Array],
                forward: bool) -> float:
     """Total sum of squares of the ``[S, B, d]`` stacks pushed forward from
@@ -121,8 +152,7 @@ def exact_apjn(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Arra
         raise ResourceBudgetError(
             f"exact Jacobian needs {entries:.3g} entries (budget {max_entries:.3g}); "
             f"use estimate_apjn instead")
-    forward = d0 <= d1
-    basis = _row_stacks(np.eye(d0 if forward else d1), bsz, coupled)
+    forward, (basis,) = _probes(state, l0, l, 0, None, "auto")
     return _sweep_ssq(state, l0, l, basis, forward) / (bsz * d1)
 
 
@@ -131,30 +161,16 @@ def estimate_segment(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngSt
     """Probe-vector estimate of the (l0, l1) norm; returns (value, stderr, terms).
 
     "output" probes contract a fresh unit Gaussian vector with the upper
-    boundary and pull it back (the estimator the tuner differentiates
-    through); "input" probes push a Gaussian tangent forward instead, which
-    costs one sweep per probe even across batch normalization. "auto" picks
-    "output" for batch-decoupled segments and "input" otherwise.
+    boundary and pull it back; "input" probes push a Gaussian tangent
+    forward instead, which costs one sweep per probe even across batch
+    normalization. "auto" picks "output" for batch-decoupled segments and
+    "input" otherwise.
     """
     if n_v < 1:
         raise ValueError(f"need at least one probe vector, got {n_v}")
-    spec = state.spec
-    d0, d1 = spec.boundary_dim(l0), spec.boundary_dim(l1)
-    bsz = state.batch_size
-    coupled = spec.segment_has_batchnorm(l0, l1)
-    mode = probe_mode
-    if mode == "auto":
-        mode = "input" if coupled else "output"
-    if mode not in ("output", "input"):
-        raise ValueError(f"unknown probe mode {probe_mode!r}")
-    terms = np.empty(n_v)
-    norm = bsz * d1
-    for m in range(n_v):
-        if mode == "output":
-            stacks = _row_stacks(rng.normal(d1)[None], bsz, coupled)
-        else:
-            stacks = [rng.normal((1, bsz, d0))]
-        terms[m] = _sweep_ssq(state, l0, l1, stacks, forward=mode == "input") / norm
+    forward, probes = _probes(state, l0, l1, n_v, rng, probe_mode)
+    norm = state.batch_size * state.spec.boundary_dim(l1)
+    terms = np.array([_sweep_ssq(state, l0, l1, stacks, forward) for stacks in probes]) / norm
     value = float(terms.mean())
     stderr = float(terms.std(ddof=1) / np.sqrt(n_v)) if n_v > 1 else float("nan")
     return value, stderr, terms
@@ -170,6 +186,96 @@ def estimate_apjn(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: A
     value, stderr, _ = estimate_segment(state, l, l + 1 if l1 is None else l1,
                                         n_v, rng, probe_mode=probe_mode)
     return value, stderr
+
+
+def _ssq_gradient(state: ForwardState, l0: int, l1: int, stacks: Iterable[Array],
+                  forward: bool, weight: float, inputs: list, extra: list,
+                  grads: dict) -> None:
+    """Add ``weight`` times the scalar gradient of what :func:`_sweep_ssq`
+    returns for the same stacks: direct partials into ``grads`` and
+    cotangents on the segment's block inputs into ``extra``.
+
+    With ``t`` the tangent entering the segment and ``u`` the cotangent
+    leaving it, the change of ``|J t|^2`` (``t`` the stack, ``u = J t``)
+    or of ``|J^T u|^2`` (``u`` the stack, ``t = J^T u``) is ``2 <u, dJ t>``,
+    a sum of one term per block. The probe sweep runs taped; the reverse
+    sweep starts from its result, meets each block with the tangent or
+    cotangent the tape holds for the other side, and drops tape entries
+    as it goes.
+    """
+    spec = state.spec
+    seg = spec.segment(l0, l1)
+    ops = [OPS[spec.blocks[i].kind] for i in seg]
+
+    def collect(k, u, t, jt):
+        # block k, with output cotangent u, input tangent t and jt = J_k t
+        i = seg[k]
+        blk = spec.blocks[i]
+        for group, value in ops[k].djvp(blk, partial(state.aux.get, i), u, jt).items():
+            if (i, group) in grads:
+                grads[(i, group)] += 2.0 * weight * value
+        c = ops[k].djvp_input(blk, state.caches[i], inputs[k], u, t)
+        if c is not None:
+            c *= 2.0 * weight
+            extra[k] = c if extra[k] is None else extra[k] + c
+
+    for stack in stacks:
+        tape: list[Array] = []
+        skip: list[Array] = []
+        if forward:
+            jvp_segment(state, l0, l1, stack, tape=tape)
+            u = tape[-1]
+            for k in reversed(range(len(seg))):
+                collect(k, u, tape[k], tape.pop())
+                if k:  # the cotangent below the first block is not needed
+                    u = ops[k].vjp(spec.blocks[seg[k]], state.caches[seg[k]], u, skip)
+        else:
+            vjp_segment(state, l0, l1, stack, tape=tape)
+            t = tape[0]
+            for k in range(len(seg)):
+                jt = ops[k].jvp(spec.blocks[seg[k]], state.caches[seg[k]], t, skip)
+                collect(k, tape[k + 1], t, jt)
+                tape[k] = None
+                t = jt
+
+
+def scalar_gradient(state: ForwardState, pairs: dict, kernels: dict, n_v: int, *,
+                    probe_mode: str = "auto") -> dict:
+    """Exact gradient of ``sum_l w_l J_l + sum_b v_b K_b`` with respect to
+    every scalar in ``state.aux``.
+
+    ``pairs`` maps ``l`` to ``(w_l, rng_l)``, where ``J_l`` is the
+    ``(l, l+1)`` norm as :func:`exact_apjn` (``n_v = 0``) or
+    :func:`estimate_segment` with a fresh copy of the stream ``rng_l``
+    measures it on ``state``: the gradient is that of the same estimator,
+    with the same probes. ``kernels`` maps a boundary ``b`` to ``v_b``, the
+    weight of its kernel ``K_b``, the mean square of its activation
+    (:func:`crittuner.losses.kernel_profile`).
+
+    Segments are handled top-down, one at a time, holding only that
+    segment's block inputs and tapes: each probe sweep of its pair is taped
+    and reversed (:func:`_ssq_gradient`), then one pullback through the
+    forward map collects the scalar partials and carries the cotangent to
+    the boundary below.
+    """
+    spec = state.spec
+    grads = {key: 0.0 for key in state.aux.keys()}
+    top = spec.n_boundaries - 1
+    g = np.zeros_like(state.boundary(top))
+    for b in range(top, 0, -1):
+        if b in kernels:
+            h = state.boundary(b)
+            g = g + (2.0 * kernels[b] / h.size) * h
+        inputs = segment_inputs(state, b - 1, b)
+        extra: list = [None] * len(inputs)
+        if b - 1 in pairs:
+            weight, rng = pairs[b - 1]
+            forward, probes = _probes(state, b - 1, b, n_v, rng, probe_mode)
+            w = weight / (max(n_v, 1) * state.batch_size * spec.boundary_dim(b))
+            for stacks in probes:
+                _ssq_gradient(state, b - 1, b, stacks, forward, w, inputs, extra, grads)
+        g = pullback_segment(state, b - 1, b, g, inputs, extra, grads)
+    return grads
 
 
 def profile_pairs(spec: NetworkSpec, k: int) -> list[tuple[int, int]]:

@@ -9,10 +9,11 @@ there, and Jacobians are always taken between two such boundaries.
 Everything that differs between block kinds lives in one table, ``OPS``,
 keyed by ``BlockSpec.kind``. Each entry is an :class:`Op` holding that
 kind's config-line form, its parameter groups and the spec field each
-group's scalar folds into, the spec fields a scan may set, and its shape,
-init, forward, JVP and VJP rules. Network construction, parameter draws,
-the forward pass, the traversals and the config and CLI layers all read
-the table; none of them branches on the kind.
+group's scalar folds into, the spec fields a scan may set, its shape,
+init, forward, JVP and VJP rules, and the derivative rules exact scalar
+gradients need. Network construction, parameter draws, the forward pass,
+the traversals, the gradients and the config and CLI layers all read the
+table; none of them branches on the kind.
 
 Every parameterized block carries per-group auxiliary scalars (the "twin
 network"): the forward pass uses ``a_W * W`` and ``a_b * b`` in place of the
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -81,11 +83,21 @@ def linear_deriv(x):
     return np.ones_like(x)
 
 
-ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "relu": (relu, relu_deriv),
-    "gelu": (gelu, gelu_deriv),
-    "tanh": (tanh_act, tanh_deriv),
-    "linear": (linear_act, linear_deriv),
+def gelu_deriv2(x):
+    return _npdf(x) * (2.0 - x * x)
+
+
+def tanh_deriv2(x):
+    t = np.tanh(x)
+    return -2.0 * t * (1.0 - t * t)
+
+
+# name -> (phi, phi', phi''); phi'' is None where it vanishes (almost everywhere)
+ACTIVATIONS: dict[str, tuple[Callable, Callable, Callable | None]] = {
+    "relu": (relu, relu_deriv, None),
+    "gelu": (gelu, gelu_deriv, gelu_deriv2),
+    "tanh": (tanh_act, tanh_deriv, tanh_deriv2),
+    "linear": (linear_act, linear_deriv, None),
 }
 
 # --------------------------------------------------------------------------
@@ -274,6 +286,13 @@ class Op:
     and ``cache`` holds exactly what this kind's ``jvp(blk, cache, t,
     tskip)`` and ``vjp(blk, cache, g, gskip)`` read back. ``skip``,
     ``tskip`` and ``gskip`` carry the residual branch inputs.
+
+    The derivative rules serve exact scalar gradients. Every kind's output
+    is linear in its scalars: ``F(x) = a_s * L(x) + a_h * h``, with ``L``
+    linear for the ``scale`` group and ``h`` a fixed vector for the
+    ``shift`` group. ``dforward`` gives the partials of ``<g, F(x)>``,
+    ``djvp`` those of ``<u, J(x) t>``, and ``djvp_input`` the cotangent of
+    ``<u, J(x) t>`` on the block input ``x``.
     """
 
     alias: str                # block name in config lines
@@ -281,9 +300,39 @@ class Op:
     groups: dict = {}         # parameter group -> BlockSpec field its scalar folds into
     scan: tuple = ()          # BlockSpec fields a scan axis of that name sets
     couples_batch = False     # output of one sample depends on the others
+    scale: str | None = None  # group whose scalar multiplies the Jacobian
+    shift: str | None = None  # group whose scalar multiplies an added constant
 
     def init(self, blk: BlockSpec, rng: RngStream) -> dict:
         return {}
+
+    def shift_view(self, blk: BlockSpec, vec: Array, ndim: int) -> Array:
+        """The shift vector as it broadcasts against ``ndim``-dim outputs."""
+        return _vec_shaped(vec, ndim)
+
+    def dforward(self, blk, p, a_of, x, g, gx) -> dict:
+        """Partials of ``<g, F(x)>`` per group scalar, for an output
+        cotangent ``g`` [B, ...] and ``gx = J^T g``."""
+        out = {}
+        if self.scale:
+            out[self.scale] = float(np.vdot(gx, x)) / a_of(self.scale)
+        if self.shift:
+            out[self.shift] = float(np.sum(g * self.shift_view(blk, p[self.shift], g.ndim)))
+        return out
+
+    def djvp(self, blk, a_of, u, jt) -> dict:
+        """Partials of ``<u, J t>`` per group scalar, given ``jt = J t``
+        ([S, B, ...] stacks, summed over)."""
+        return {self.scale: float(np.vdot(u, jt)) / a_of(self.scale)} if self.scale else {}
+
+    def djvp_input(self, blk, cache, x, u, t) -> Array | None:
+        """Cotangent of ``<u, J(x) t>`` on the input ``x``, summed over the
+        stack; None where the Jacobian does not depend on ``x``."""
+        return None
+
+    def reads_input(self, blk) -> bool:
+        """Whether ``dforward`` or ``djvp_input`` read the block input."""
+        return self.scale is not None
 
 
 class _Weighted(Op):
@@ -292,6 +341,7 @@ class _Weighted(Op):
 
     groups = {"W": "sigma_w", "b": "sigma_b"}
     scan = ("sigma_w", "sigma_b")
+    scale, shift = "W", "b"
 
     def weight_shape(self, blk: BlockSpec) -> tuple:
         return (blk.fan_out, blk.fan_in)
@@ -323,6 +373,9 @@ class _Dense(_Weighted):
             raise ValueError(f"fan_in {blk.fan_in} != incoming {want}")
         blk.fan_in = want
         return out
+
+    def shift_view(self, blk, vec, ndim):
+        return vec if blk.axis == -1 else vec[:, None]
 
     def forward(self, blk, p, a_of, x, skip):
         w = a_of("W") * p["W"]
@@ -437,8 +490,15 @@ class _Activation(_Pointwise):
         return cur
 
     def forward(self, blk, p, a_of, x, skip):
-        f, df = ACTIVATIONS[blk.act]
+        f, df, _ = ACTIVATIONS[blk.act]
         return f(x), df(x)
+
+    def djvp_input(self, blk, cache, x, u, t):
+        d2f = ACTIVATIONS[blk.act][2]
+        return None if d2f is None else (u * t).sum(axis=0) * d2f(x)
+
+    def reads_input(self, blk):
+        return ACTIVATIONS[blk.act][2] is not None
 
 
 class _BatchNorm(Op):
@@ -470,6 +530,21 @@ class _BatchNorm(Op):
 
     vjp = jvp  # the batch-normalization Jacobian is symmetric
 
+    def djvp_input(self, blk, cache, x, u, t):
+        # per feature, with y = c / s and means over the normalized axes:
+        # (1/s^2) [(3 <uy><ty> - cov(u, t)) y - <ty> (u - <u>) - <uy> (t - <t>)]
+        c, s = cache
+        axes = tuple(a + 1 for a in _bn_axes(c.ndim))
+        y = c / s
+
+        def mean(z):
+            return z.mean(axis=axes, keepdims=True)
+
+        um, tm, uy, ty = mean(u), mean(t), mean(u * y), mean(t * y)
+        cov = mean(u * t) - um * tm
+        out = (3.0 * uy * ty - cov) * y - ty * (u - um) - uy * (t - tm)
+        return out.sum(axis=0) / (s * s)
+
 
 class _Elementwise(_Pointwise):
     """Per-feature vectors initialized to the value of their fold field."""
@@ -490,6 +565,7 @@ class _Affine(_Elementwise):
     alias = "affine"
     attrs = (Attr("alpha", "alpha_init", float, 1.0), Attr("beta", "beta_init", float, 0.0))
     groups = {"alpha": "alpha_init", "beta": "beta_init"}
+    scale, shift = "alpha", "beta"
 
     def forward(self, blk, p, a_of, x, skip):
         al = _vec_shaped(a_of("alpha") * p["alpha"], x.ndim)
@@ -502,6 +578,7 @@ class _LayerScale(_Elementwise):
     attrs = (Attr("eps", "eps_ls", float),)
     groups = {"scale": "eps_ls"}
     scan = ("eps_ls",)
+    scale = "scale"
 
     def shape(self, blk, cur, stack):
         if blk.eps_ls < 0:
@@ -820,8 +897,7 @@ def run_network(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Arr
     caches = []
     skip: list[Array] = []
     for i, blk in enumerate(spec.blocks):
-        a_of = lambda g, i=i: aux.get(i, g)
-        x, cache = OPS[blk.kind].forward(blk, params[i], a_of, x, skip)
+        x, cache = OPS[blk.kind].forward(blk, params[i], partial(aux.get, i), x, skip)
         caches.append(cache)
         if (i + 1) in cutset:
             bounds.append(flatten_batch(x))
@@ -855,27 +931,97 @@ def _unfold(t: Array, s: int) -> Array:
     return t.reshape(s, t.shape[0] // s, *t.shape[1:])
 
 
-def jvp_segment(state: ForwardState, b0: int, b1: int, tangent: Array) -> Array:
-    """Push ``[S, B, N_b0]`` tangents forward from boundary b0 to b1."""
+def jvp_segment(state: ForwardState, b0: int, b1: int, tangent: Array,
+                tape: list | None = None) -> Array:
+    """Push ``[S, B, N_b0]`` tangents forward from boundary b0 to b1.
+
+    ``tape``, when given, receives the tangent at each position of the
+    segment, unflattened: position ``k`` is the input of its ``k``-th block
+    and the last position the segment output.
+    """
     spec = state.spec
     seg = spec.segment(b0, b1)
     t = np.asarray(tangent, dtype=np.float64)
     t = t.reshape(t.shape[0], t.shape[1], *spec.boundary_shape(b0))
     tskip: list[Array] = []
     for i in seg:
+        if tape is not None:
+            tape.append(t)
         blk = spec.blocks[i]
         t = OPS[blk.kind].jvp(blk, state.caches[i], t, tskip)
+    if tape is not None:
+        tape.append(t)
     return t.reshape(t.shape[0], t.shape[1], -1)
 
 
-def vjp_segment(state: ForwardState, b0: int, b1: int, cotangent: Array) -> Array:
-    """Pull ``[S, B, N_b1]`` cotangents back from boundary b1 to b0."""
+def vjp_segment(state: ForwardState, b0: int, b1: int, cotangent: Array,
+                tape: list | None = None) -> Array:
+    """Pull ``[S, B, N_b1]`` cotangents back from boundary b1 to b0.
+
+    ``tape``, when given, receives the cotangent at each position of the
+    segment, in the position order of :func:`jvp_segment`.
+    """
     spec = state.spec
     seg = spec.segment(b0, b1)
     g = np.asarray(cotangent, dtype=np.float64)
     g = g.reshape(g.shape[0], g.shape[1], *spec.boundary_shape(b1))
     gskip: list[Array] = []
     for i in reversed(seg):
+        if tape is not None:
+            tape.append(g)
         blk = spec.blocks[i]
         g = OPS[blk.kind].vjp(blk, state.caches[i], g, gskip)
+    if tape is not None:
+        tape.append(g)
+        tape.reverse()
     return g.reshape(g.shape[0], g.shape[1], -1)
+
+
+# --------------------------------------------------------------------------
+# scalar derivatives of the forward map
+# --------------------------------------------------------------------------
+
+def segment_inputs(state: ForwardState, b0: int, b1: int) -> list:
+    """Inputs of the blocks between boundaries b0 and b1 that their
+    derivative rules read (None for the others), recomputed from the
+    activation at b0 (boundaries never sit inside a residual branch)."""
+    spec = state.spec
+    x = state.boundary(b0).reshape(state.batch_size, *spec.boundary_shape(b0))
+    inputs: list[Array | None] = []
+    skip: list[Array] = []
+    for i in spec.segment(b0, b1):
+        blk = spec.blocks[i]
+        op = OPS[blk.kind]
+        inputs.append(x if op.reads_input(blk) else None)
+        x, _ = op.forward(blk, state.params[i], partial(state.aux.get, i), x, skip)
+    return inputs
+
+
+def pullback_segment(state: ForwardState, b0: int, b1: int, cotangent: Array,
+                     inputs: list, extra: list, grads: dict) -> Array:
+    """Pull a cotangent ``[B, N_b1]`` on the activation at b1 back to b0
+    through the forward map.
+
+    ``inputs`` are the segment's block inputs (:func:`segment_inputs`) and
+    ``extra[k]`` a further cotangent on the input of its ``k``-th block, or
+    None; both enter on the way down, which consumes the two lists. Each
+    block's scalar partials are added to ``grads`` where it has the
+    ``(block, group)`` key; other scalars are held fixed. Returns the
+    cotangent ``[B, N_b0]`` at b0.
+    """
+    spec = state.spec
+    seg = spec.segment(b0, b1)
+    g = cotangent.reshape(1, state.batch_size, *spec.boundary_shape(b1))
+    gskip: list[Array] = []
+    for i in reversed(seg):
+        blk = spec.blocks[i]
+        op = OPS[blk.kind]
+        gx = op.vjp(blk, state.caches[i], g, gskip)
+        partials = op.dforward(blk, state.params[i], partial(state.aux.get, i),
+                               inputs.pop(), g[0], gx[0])
+        for group, value in partials.items():
+            if (i, group) in grads:
+                grads[(i, group)] += value
+        more = extra.pop()
+        g = gx if more is None else gx + more
+    return g.reshape(state.batch_size, -1)

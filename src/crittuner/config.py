@@ -205,17 +205,18 @@ def _apply_key(cfg: ExperimentConfig, key: str, value: str, blocks, tune_kv):
         except ValueError:
             raise ConfigError(f"bad block index in {key!r}") from None
         blocks.append((idx, block_from_line(value)))
-    elif key == "measure.k":
-        cfg.measure.k = int(value)
+    elif key in ("measure.k", "measure.n_v", "measure.param_samples"):
+        n = int(value)
+        if n < 1:
+            raise ConfigError(f"{key} must be >= 1")
+        setattr(cfg.measure, key[len("measure."):], n)
     elif key == "measure.method":
         if value not in ("auto", "exact", "estimate"):
             raise ConfigError(f"unknown measure method {value!r}")
         cfg.measure.method = value
-    elif key == "measure.n_v":
-        cfg.measure.n_v = int(value)
-    elif key == "measure.param_samples":
-        cfg.measure.param_samples = int(value)
     elif key == "measure.probe_mode":
+        if value not in ("auto", "output", "input"):
+            raise ConfigError(f"unknown probe mode {value!r}")
         cfg.measure.probe_mode = value
     elif key.startswith("tune."):
         tune_kv[key[5:]] = value
@@ -251,7 +252,6 @@ _TUNE_KEYS = {
     "n_v": ("n_v", int),
     "probe_mode": ("probe_mode", str),
     "grad": ("grad_mode", str),
-    "fd_step": ("fd_step", float),
     "return": ("return_mode", str),
     "span": ("span", str),
     "fresh_batch": ("fresh_batch", None),
@@ -297,7 +297,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     lines += [f"tune.schedule = {t.schedule}", f"tune.bound_safety = {_fmt(t.bound_safety)}",
               f"tune.steps = {t.t_max}", f"tune.epsilon = {_fmt(t.eps)}",
               f"tune.n_v = {t.n_v}", f"tune.probe_mode = {t.probe_mode}",
-              f"tune.grad = {t.grad_mode}", f"tune.fd_step = {_fmt(t.fd_step)}",
+              f"tune.grad = {t.grad_mode}",
               f"tune.return = {t.return_mode}", f"tune.span = {t.span}",
               f"tune.fresh_batch = {str(t.fresh_batch).lower()}", f"tune.aux = {aux}", ""]
     s = cfg.scan

@@ -20,8 +20,14 @@ from .blocks import BatchActivations
 
 @dataclass
 class LossValue:
+    """Loss total, per-pair terms, and the partials of the total with
+    respect to each norm (``dj``) and each kernel (``dk``, None for losses
+    that take no kernels)."""
+
     total: float
     terms: list
+    dj: np.ndarray
+    dk: np.ndarray | None = None
 
     def __float__(self) -> float:
         return self.total
@@ -38,14 +44,14 @@ def jll(j) -> LossValue:
     """Half the sum of squared log norms; zero iff every norm is 1."""
     arr = _as_positive(j, "Jacobian norms")
     terms = 0.5 * np.log(arr) ** 2
-    return LossValue(math.fsum(terms), terms.tolist())
+    return LossValue(math.fsum(terms), terms.tolist(), np.log(arr) / arr)
 
 
 def jsl(j) -> LossValue:
     """Half the sum of squared deviations from 1."""
     arr = np.asarray(j, dtype=np.float64)
     terms = 0.5 * (arr - 1.0) ** 2
-    return LossValue(math.fsum(terms), terms.tolist())
+    return LossValue(math.fsum(terms), terms.tolist(), arr - 1.0)
 
 
 def jkl(j, k, lam: float, span: tuple[int, int] | None = None) -> LossValue:
@@ -64,10 +70,15 @@ def jkl(j, k, lam: float, span: tuple[int, int] | None = None) -> LossValue:
     lo, hi = (0, len(j)) if span is None else span
     if not 0 <= lo < hi <= len(j):
         raise ValueError(f"bad span {span} for {len(j)} pairs")
-    jpart = 0.5 * np.log(j[lo:hi]) ** 2
-    kpart = 0.5 * lam * np.log(k[lo + 1:hi + 1] / k[lo:hi]) ** 2
-    terms = (jpart + kpart).tolist()
-    return LossValue(math.fsum(terms), terms)
+    logj = np.log(j[lo:hi])
+    ratio = np.log(k[lo + 1:hi + 1] / k[lo:hi])
+    terms = (0.5 * logj ** 2 + 0.5 * lam * ratio ** 2).tolist()
+    dj = np.zeros_like(j)
+    dj[lo:hi] = logj / j[lo:hi]
+    dk = np.zeros_like(k)
+    dk[lo + 1:hi + 1] += lam * ratio / k[lo + 1:hi + 1]
+    dk[lo:hi] -= lam * ratio / k[lo:hi]
+    return LossValue(math.fsum(terms), terms, dj, dk)
 
 
 LOSSES = {"jll": jll, "jsl": jsl, "jkl": jkl}

@@ -2,10 +2,12 @@
 
 Each step measures the per-pair Jacobian norms (and kernels, for the
 kernel-augmented loss) on a fixed parameter draw, forms the loss, steps the
-scalars down its gradient, and logs everything. Gradients come either from
-central finite differences with common random numbers (same parameter draw
-and probe vectors on both sides of every perturbation) or, for ReLU stacks,
-from the closed form ``2 log(J) / a`` per layer.
+scalars down its gradient, and logs everything. Gradients are either exact
+or, for ReLU stacks, the closed form ``2 log(J) / a`` per layer. The exact
+gradient is that of the measured estimator itself: same forward pass, same
+probe vectors, same losses and kernels, differentiated through one taped
+sweep per probe and one pullback through the network
+(:func:`crittuner.apjn.scalar_gradient`).
 
 Also here: the closed-form learning rates for ReLU stacks - the per-layer
 rate that reaches criticality in one step, the time-t stability bound, and
@@ -20,10 +22,11 @@ from typing import Callable
 
 import numpy as np
 
-from .apjn import estimate_segment, exact_apjn
+from .apjn import estimate_segment, exact_apjn, scalar_gradient
 from .blocks import (
     OPS,
     AuxScalars,
+    ForwardState,
     NetworkSpec,
     ParamSet,
     resolve_aux_groups,
@@ -31,7 +34,7 @@ from .blocks import (
     scale_params,
     scale_spec_sigmas,
 )
-from .losses import jkl, jll, jsl, kernel_profile
+from .losses import LossValue, jkl, jll, jsl, kernel_profile
 from .tensor import Array, RngStream
 
 AUX_CLAMP = (1e-6, 1e6)
@@ -56,8 +59,7 @@ class TuneConfig:
     eps: float = 0.0                   # stop once loss <= eps
     n_v: int = 2                       # probes per pair; 0 -> exact norms
     probe_mode: str = "auto"
-    grad_mode: str = "finite-difference"   # finite-difference | analytic-relu
-    fd_step: float = 1e-4              # relative finite-difference step
+    grad_mode: str = "exact"           # exact | analytic-relu
     return_mode: str = "scale-sigmas"  # scale-sigmas | freeze-aux
     aux_groups: object = "default"     # see AuxScalars.ones
     span: str = "include-io"           # include-io | interior-only
@@ -76,7 +78,7 @@ class TuneConfig:
         if self.schedule == "constant":
             if self.eta is None or self.eta <= 0:
                 raise ValueError("constant schedule needs eta > 0")
-        if self.grad_mode not in ("finite-difference", "analytic-relu"):
+        if self.grad_mode not in ("exact", "analytic-relu"):
             raise ValueError(f"unknown grad mode {self.grad_mode!r}")
         if self.return_mode not in ("scale-sigmas", "freeze-aux"):
             raise ValueError(f"unknown return mode {self.return_mode!r}")
@@ -86,6 +88,13 @@ class TuneConfig:
             raise ValueError("n_v must be >= 0")
         if self.probe_mode not in ("auto", "output", "input"):
             raise ValueError(f"unknown probe mode {self.probe_mode!r}")
+        if self.lam < 0:
+            raise ValueError("lam must be >= 0")
+        if self.bound_safety <= 0:
+            raise ValueError("bound_safety must be > 0")
+        lo, hi = self.aux_clamp
+        if not 0 < lo < hi:
+            raise ValueError(f"aux_clamp needs 0 < lo < hi, got {self.aux_clamp}")
         resolve_aux_groups(self.aux_groups)
 
 
@@ -154,9 +163,9 @@ def _pair_list(spec: NetworkSpec, span: str) -> list[int]:
 
 
 def _measure(spec, params, aux, batch, cfg: TuneConfig, pairs, rng: RngStream):
-    """Per-pair norms plus kernels. Pair l draws its probes from
-    ``rng.child(l)``, so every measurement with the same ``rng`` reuses the
-    same probes (common random numbers across finite differences)."""
+    """Forward state, per-pair norms and kernels. Pair l draws its probes
+    from ``rng.child(l)``, so the exact gradient can draw the very probes
+    this measurement used from the same ``rng``."""
     state = run_network(spec, params, aux, batch)
     js = np.empty(len(pairs))
     for n, l in enumerate(pairs):
@@ -166,25 +175,30 @@ def _measure(spec, params, aux, batch, cfg: TuneConfig, pairs, rng: RngStream):
             js[n], _, _ = estimate_segment(state, l, l + 1, cfg.n_v, rng.child(l),
                                            probe_mode=cfg.probe_mode)
     ks = kernel_profile(state.activations)[pairs[0]:pairs[-1] + 2]
-    return js, ks
+    return state, js, ks
 
 
-def _loss_of(cfg: TuneConfig, js: np.ndarray, ks: np.ndarray) -> float:
-    """Loss value, or inf when the measurement left its domain (overflowed
+def _loss(cfg: TuneConfig, js: np.ndarray, ks: np.ndarray) -> LossValue | None:
+    """The loss, or None when the measurement left its domain (overflowed
     activations yield zero or non-finite norms; log losses cannot price
     those, which the loop reports as divergence)."""
     if not np.all(np.isfinite(js)):
-        return float("inf")
+        return None
     try:
         if cfg.loss == "jll":
-            return jll(js).total
+            return jll(js)
         if cfg.loss == "jsl":
-            return jsl(js).total
+            return jsl(js)
         if not np.all(np.isfinite(ks)):
-            return float("inf")
-        return jkl(js, ks, cfg.lam).total
+            return None
+        return jkl(js, ks, cfg.lam)
     except ValueError:
-        return float("inf")
+        return None
+
+
+def _loss_of(cfg: TuneConfig, js: np.ndarray, ks: np.ndarray) -> float:
+    value = _loss(cfg, js, ks)
+    return float("inf") if value is None else value.total
 
 
 def _pair_weight_blocks(spec: NetworkSpec, pairs) -> dict[int, int]:
@@ -200,38 +214,39 @@ def _pair_weight_blocks(spec: NetworkSpec, pairs) -> dict[int, int]:
 
 def grad_aux(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Array,
              cfg: TuneConfig, rng: RngStream, *, js: np.ndarray | None = None,
-             trace: TuneTrace | None = None) -> dict:
+             trace: TuneTrace | None = None, state: ForwardState | None = None) -> dict:
     """Gradient of the configured loss w.r.t. every tunable scalar.
 
-    Finite-difference mode re-evaluates the loss at a*(1 +/- h) under common
-    random numbers. Analytic mode uses the ReLU closed form: the weight
-    scalar of the block generating pair l gets ``2 log(J_l) / a`` (times
-    ``1 + lam`` for the kernel-augmented loss at sigma_b = 0) and bias
-    scalars get zero.
+    ``rng`` is the stream the norms are measured with; ``js`` and ``state``
+    may pass in that measurement's norms and forward state, which must
+    belong to ``aux`` and ``batch``. Exact mode differentiates the loss of
+    that measurement: the same probes, kernels and loss. Analytic mode uses
+    the ReLU closed form: the weight scalar of the block generating pair l
+    gets ``2 log(J_l) / a`` (times ``1 + lam`` for the kernel-augmented
+    loss at sigma_b = 0) and bias scalars get zero.
     """
     pairs = _pair_list(spec, cfg.span)
+    if js is None:
+        state, js, _ = _measure(spec, params, aux, batch, cfg, pairs, rng)
     if cfg.grad_mode == "analytic-relu":
-        if js is None:
-            js, _ = _measure(spec, params, aux, batch, cfg, pairs, rng)
         if not np.all(np.isfinite(js) & (js > 0)):
             raise DivergenceError("measured norms left the positive domain",
                                   trace or TuneTrace(pairs[0], aux.keys()))
         return _grad_analytic(spec, aux, cfg, pairs, js)
-    base = aux.as_vector()
-    keys = aux.keys()
-    grads = {}
-    h = cfg.fd_step
-    for n, key in enumerate(keys):
-        vec = base.copy()
-        vec[n] = base[n] * (1.0 + h)
-        jp, kp = _measure(spec, params, aux.with_vector(vec), batch, cfg, pairs, rng)
-        vec[n] = base[n] * (1.0 - h)
-        jm, km = _measure(spec, params, aux.with_vector(vec), batch, cfg, pairs, rng)
-        lp, lm = _loss_of(cfg, jp, kp), _loss_of(cfg, jm, km)
-        if not (math.isfinite(lp) and math.isfinite(lm)):
-            raise DivergenceError(f"perturbed loss non-finite at {key}",
-                                  trace or TuneTrace(pairs[0], keys))
-        grads[key] = (lp - lm) / (2.0 * base[n] * h)
+    if state is None:
+        state = run_network(spec, params, aux, batch)
+    ks = kernel_profile(state.activations)[pairs[0]:pairs[-1] + 2]
+    loss = _loss(cfg, js, ks)
+    if loss is None:
+        raise DivergenceError("loss non-finite", trace or TuneTrace(pairs[0], aux.keys()))
+    terms = {l: (float(loss.dj[n]), rng.child(l) if cfg.n_v else None)
+             for n, l in enumerate(pairs)}
+    kernels = {} if loss.dk is None else {pairs[0] + n: float(v) for n, v in enumerate(loss.dk)}
+    grads = scalar_gradient(state, terms, kernels, cfg.n_v, probe_mode=cfg.probe_mode)
+    for key, value in grads.items():
+        if not math.isfinite(value):
+            raise DivergenceError(f"gradient non-finite at {key}",
+                                  trace or TuneTrace(pairs[0], aux.keys()))
     return grads
 
 
@@ -285,11 +300,11 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
     sigma_of_pair = {l: spec.blocks[i].sigma_w for l, i in owners.items()}
 
     def measure(t: int, aux_now: AuxScalars):
-        # step t's batch and stream, reused by its gradient
+        # step t's batch, stream and forward state, reused by its gradient
         step_batch = batch_provider(t) if cfg.fresh_batch and batch_provider is not None else batch
         step_rng = rng.child(t)
-        js, ks = _measure(spec, params, aux_now, step_batch, cfg, pairs, step_rng)
-        return step_batch, step_rng, js, ks
+        state, js, ks = _measure(spec, params, aux_now, step_batch, cfg, pairs, step_rng)
+        return step_batch, step_rng, state, js, ks
 
     def need_pair_sigmas():
         missing = [l for l in pairs if l not in sigma_of_pair]
@@ -297,7 +312,7 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
             raise ValueError(f"schedule needs one weight block per pair; pairs {missing} differ")
 
     t = 0
-    step_batch, step_rng, js, ks = measure(t, aux)
+    step_batch, step_rng, state, js, ks = measure(t, aux)
     loss = _loss_of(cfg, js, ks)
     trace.append(TuneStep(t, loss, js.copy(), aux.as_vector(), 0.0))
     if not math.isfinite(loss):
@@ -305,8 +320,7 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
 
     while t < cfg.t_max and loss > cfg.eps:
         grads = grad_aux(spec, params, aux, step_batch, cfg, step_rng,
-                         js=js if cfg.grad_mode == "analytic-relu" else None,
-                         trace=trace)
+                         js=js, trace=trace, state=state)
         if cfg.schedule == "constant":
             eta_used = cfg.eta
             rates = {key: cfg.eta for key in keys}
@@ -331,13 +345,15 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
         new_vals = {key: aux.get(*key) - rates[key] * grads.get(key, 0.0) for key in keys}
         aux = AuxScalars(new_vals).clamped(*cfg.aux_clamp)
         t += 1
-        step_batch, step_rng, js, ks = measure(t, aux)
+        state = None  # hold one forward state at a time
+        step_batch, step_rng, state, js, ks = measure(t, aux)
         loss = _loss_of(cfg, js, ks)
         if not math.isfinite(loss):
             trace.append(TuneStep(t, float("inf"), js.copy(), aux.as_vector(), eta_used))
             raise DivergenceError(f"loss diverged at step {t}", trace)
         trace.append(TuneStep(t, loss, js.copy(), aux.as_vector(), eta_used))
 
+    state = None  # nor keep it while folding the scalars in
     converged = loss <= cfg.eps
     if cfg.return_mode == "scale-sigmas":
         out_spec = scale_spec_sigmas(spec, aux)

@@ -126,7 +126,7 @@ def test_14_jkl_equivalence():
     _run(verify.jkl_equivalence, 0, tol=1e-10)
 
 
-# 15. finite-difference gradient of the log loss matches 2 log(J) / a
+# 15. the exact gradient of the log loss matches 2 log(J) / a
 #     within 1e-3 relative
 def test_15_gradient_check():
     _run(verify.gradient_check, 0, tol=1e-3)

@@ -1,15 +1,21 @@
-"""JVP/VJP correctness against numeric differentiation.
+"""JVP/VJP and scalar-gradient correctness against numeric differentiation.
 
 The oracle is plain central differencing of the forward map between two
 boundaries; the adjoint identity <g, J u> == <J^T g, u> then pins the VJP
 to the verified JVP. Every block kind is covered, including the
-cross-sample structure of batch normalization.
+cross-sample structure of batch normalization. The tuner's exact scalar
+gradients are checked the same way, against central differences of its
+loss under common random numbers.
 """
+
+import zlib
 
 import numpy as np
 import pytest
 
+from crittuner import tuner
 from crittuner.blocks import (
+    ACTIVATIONS,
     OPS,
     AuxScalars,
     NetworkSpec,
@@ -123,3 +129,55 @@ def test_stacked_probes_match_loop():
 def test_every_block_kind_has_a_case():
     covered = {blk.kind for spec in CASES.values() for blk in spec.blocks}
     assert set(OPS) <= covered, sorted(set(OPS) - covered)
+
+
+@pytest.mark.parametrize("act", ["gelu", "tanh"])
+def test_activation_second_derivative_matches_numeric(act):
+    _, df, d2f = ACTIVATIONS[act]
+    x = np.linspace(-4.0, 4.0, 81)
+    h = 1e-6
+    assert np.allclose(d2f(x), (df(x + h) - df(x - h)) / (2 * h), rtol=1e-6, atol=1e-8)
+
+
+def _fd_grad(spec, params, aux, x, cfg, rng, h=1e-5):
+    """Central differences of the tuner's loss in each scalar, a -> a (1 +/- h),
+    with common random numbers: the same batch, parameter draw and probe
+    stream on both sides of every perturbation."""
+    pairs = tuner._pair_list(spec, cfg.span)
+    base = aux.as_vector()
+    grads = {}
+    for n, key in enumerate(aux.keys()):
+        losses = []
+        for sign in (1.0, -1.0):
+            vec = base.copy()
+            vec[n] = base[n] * (1.0 + sign * h)
+            _, js, ks = tuner._measure(spec, params, aux.with_vector(vec), x, cfg, pairs, rng)
+            losses.append(tuner._loss_of(cfg, js, ks))
+        grads[key] = (losses[0] - losses[1]) / (2.0 * base[n] * h)
+    return grads
+
+
+PROBES = {"exact": dict(n_v=0), "output": dict(n_v=2, probe_mode="output"),
+          "input": dict(n_v=2, probe_mode="input")}
+
+
+@pytest.mark.parametrize("probes", sorted(PROBES))
+@pytest.mark.parametrize("loss", ["jll", "jsl", "jkl"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_exact_gradient_matches_central_differences(name, loss, probes):
+    # output probes are broadcast rows, or one-hot per sample across batch norm
+    spec = CASES[name]
+    rng = RngStream(zlib.crc32(name.encode()) % 1000)
+    params = init_params(spec, rng.child(1))
+    aux = AuxScalars.ones(spec, "all")
+    for n, key in enumerate(aux.keys()):
+        aux.values[key] = 0.8 + 0.07 * n   # exercise non-unit scalars
+    x = rng.child(2).normal((4, *spec.input_shape))
+    cfg = tuner.TuneConfig(loss=loss, lam=0.5 if loss == "jkl" else 0.0, eta=0.1,
+                           **PROBES[probes])
+    exact = tuner.grad_aux(spec, params, aux, x, cfg, rng.child(3))
+    numeric = _fd_grad(spec, params, aux, x, cfg, rng.child(3))
+    assert set(exact) == set(numeric)
+    scale = max(abs(v) for v in numeric.values())
+    worst = max(abs(exact[k] - numeric[k]) for k in numeric)
+    assert worst <= 1e-5 * scale, (name, loss, probes, worst / scale)

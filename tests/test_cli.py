@@ -169,6 +169,16 @@ def test_verify_subcommand_runs_fast_suites(tmp_path):
     assert rc == 0
 
 
+def test_verify_json_output_parses(tmp_path):
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("seed = 0\nverify.suites = kernel-fixed-point gradient-check\n")
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(cfg), "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [r["name"] for r in doc] == ["kernel-fixed-point", "gradient-check"]
+    assert all(r["ok"] is True for r in doc)
+
+
 def test_verify_unknown_suite_is_config_error(tmp_path):
     cfg = tmp_path / "v.cfg"
     cfg.write_text("verify.suites = bogus\n")

@@ -104,6 +104,14 @@ def test_parse_errors_carry_line_numbers():
         parse_config("tune.probe_mode = bogus\n")
     with pytest.raises(ConfigError, match="aux groups"):
         parse_config("tune.aux = alpha,gamma\n")
+    with pytest.raises(ConfigError, match="line 2: unknown probe mode"):
+        parse_config("seed = 1\nmeasure.probe_mode = bogus\n")
+    for key in ("n_v", "k", "param_samples"):
+        for value in ("0", "-3"):
+            with pytest.raises(ConfigError, match=f"line 3: measure.{key} must be >= 1"):
+                parse_config(f"seed = 1\n\nmeasure.{key} = {value}\n")
+    with pytest.raises(ConfigError, match="unknown key 'tune.fd_step'"):
+        parse_config("tune.fd_step = 0.0001\n")
 
 
 def test_sample_config_block_lines_round_trip_exactly():

@@ -84,3 +84,25 @@ def test_kernel_profile_matches_definition():
     assert len(ks) == 4
     assert ks[0] == pytest.approx(float((x * x).mean()), rel=1e-12)
     assert np.all(ks >= 0)
+
+
+def test_loss_partials_match_central_differences():
+    rng = RngStream(3)
+    js = np.exp(rng.normal(4, 0.0, 0.5))
+    ks = np.exp(rng.normal(5, 0.0, 0.5))
+    cases = [(jll, (js,), 0), (jsl, (js,), 0), (lambda j, k: jkl(j, k, 0.7), (js, ks), 0),
+             (lambda j, k: jkl(j, k, 0.7, span=(1, 3)), (js, ks), 0),
+             (lambda j, k: jkl(j, k, 0.7), (js, ks), 1)]
+    h = 1e-6
+    for fn, args, slot in cases:
+        lv = fn(*args)
+        got = lv.dj if slot == 0 else lv.dk
+        for n in range(len(args[slot])):
+            up, down = [a.copy() for a in args], [a.copy() for a in args]
+            up[slot][n] *= 1.0 + h
+            down[slot][n] *= 1.0 - h
+            numeric = (fn(*up).total - fn(*down).total) / (2.0 * h * args[slot][n])
+            assert got[n] == pytest.approx(numeric, rel=1e-6, abs=1e-9)
+    assert jll(js).dk is None and jsl(js).dk is None
+    # kernel partials sum to zero: scaling every kernel leaves jkl unchanged
+    assert float(np.sum(jkl(js, ks, 0.7).dk * ks)) == pytest.approx(0.0, abs=1e-12)

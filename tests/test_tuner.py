@@ -67,17 +67,18 @@ def test_eta_zero_scaling_regimes():
 
 # -- gradients -----------------------------------------------------------------
 
-def test_analytic_gradient_formula_and_fd_agreement():
+def test_exact_gradient_matches_relu_closed_form():
     spec = relu_mlp(4, 80, 2.0)
     x, params, rng = _setup(spec, 3, 8)
     aux = AuxScalars.ones(spec, groups={"W"})
-    cfg_fd = TuneConfig(loss="jll", eta=0.1, n_v=4)
+    cfg_ex = TuneConfig(loss="jll", eta=0.1, n_v=4)
     cfg_an = TuneConfig(loss="jll", eta=0.1, n_v=4, grad_mode="analytic-relu")
-    g_fd = grad_aux(spec, params, aux, x, cfg_fd, rng.child(7))
+    assert cfg_ex.grad_mode == "exact"
+    g_ex = grad_aux(spec, params, aux, x, cfg_ex, rng.child(7))
     g_an = grad_aux(spec, params, aux, x, cfg_an, rng.child(7))
-    assert set(g_fd) == set(g_an)
+    assert set(g_ex) == set(g_an)
     for key, ga in g_an.items():
-        assert g_fd[key] == pytest.approx(ga, rel=1e-3), key
+        assert g_ex[key] == pytest.approx(ga, rel=1e-9), key
 
 
 def test_bias_scalars_receive_no_analytic_update():
@@ -126,6 +127,16 @@ def test_config_rejects_unknown_probe_mode_and_aux_groups():
     with pytest.raises(ValueError, match="'default', 'all', 'none'"):
         TuneConfig(eta=0.1, aux_groups="alpha")
     assert TuneConfig(eta=0.1, aux_groups={"W"}).aux_groups == {"W"}
+    with pytest.raises(ValueError, match="lam"):
+        TuneConfig(loss="jkl", lam=-1.0, eta=0.1)
+    for safety in (0.0, -0.5):
+        with pytest.raises(ValueError, match="bound_safety"):
+            TuneConfig(eta=0.1, bound_safety=safety)
+    for clamp in ((0.0, 1.0), (-1.0, 1.0), (2.0, 2.0), (3.0, 1.0)):
+        with pytest.raises(ValueError, match="aux_clamp"):
+            TuneConfig(eta=0.1, aux_clamp=clamp)
+    with pytest.raises(ValueError, match="grad mode"):
+        TuneConfig(eta=0.1, grad_mode="finite-difference")
 
 
 def test_fresh_batch_gradient_uses_the_step_batch():
