@@ -71,7 +71,7 @@ from .presets import (
     relu_mlp,
     resmlp_toy,
 )
-from .tensor import RngStream, flatten, gaussian
+from .tensor import RngStream
 from .tuner import (
     DivergenceError,
     TuneConfig,

@@ -4,6 +4,8 @@ The observable is the squared Frobenius norm of the Jacobian of one
 flattened boundary activation with respect to an earlier one, normalized by
 batch size and output width. ``exact_apjn`` accumulates it from basis
 tangents (forward columns or reverse rows, whichever side is narrower);
+a forward basis that enters through a dense block starts from its weight
+rows, which are that block's image of the identity bit for bit.
 ``estimate_apjn`` is the unbiased Monte-Carlo version driven by Gaussian
 probe vectors, one JVP/VJP sweep per probe. ``scalar_gradient`` is the
 exact gradient of either, with its probes, in the twin network's scalars.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -76,23 +78,53 @@ class ApjnReport:
         return np.array([p.value for p in self.pairs])
 
 
-def _row_stacks(rows: Array, bsz: int, per_sample: bool) -> Iterator[Array]:
-    """Stacks [S, B, d] of at most _CHUNK tangents built from ``rows``
-    [n, d]: each row broadcast across the batch, or, when the segment
-    couples the batch, each row placed at one sample with zeros elsewhere
-    (sample-major order)."""
-    n, dim = rows.shape
-    if not per_sample:
-        for c0 in range(0, n, _CHUNK):
-            chunk = rows[c0:c0 + _CHUNK]
-            yield np.broadcast_to(chunk[:, None, :], (chunk.shape[0], bsz, dim)).copy()
-    else:
-        total = bsz * n
-        for c0 in range(0, total, _CHUNK):
-            idx = np.arange(c0, min(c0 + _CHUNK, total))
-            t = np.zeros((idx.size, bsz, dim))
-            t[np.arange(idx.size), idx // n] = rows[idx % n]
+def _unit_rows(n: int, idx: Array) -> Array:
+    """Rows ``idx`` of the ``n``-by-``n`` identity."""
+    rows = np.zeros((idx.size, n))
+    rows[np.arange(idx.size), idx] = 1.0
+    return rows
+
+
+def _row_stacks(rows: Callable[[Array], Array], n: int, bsz: int,
+                per_sample: bool) -> Iterator[Array]:
+    """C-contiguous stacks [S, B, d] of at most _CHUNK tangents, one per row
+    of an [n, d] array whose rows ``idx`` are ``rows(idx)``: each row
+    broadcast across the batch, or, when the segment couples the batch,
+    placed at one sample with zeros elsewhere (sample-major order)."""
+    total = bsz * n if per_sample else n
+    for c0 in range(0, total, _CHUNK):
+        idx = np.arange(c0, min(c0 + _CHUNK, total))
+        chunk = rows(idx % n)
+        if per_sample:
+            t = np.zeros((idx.size, bsz, chunk.shape[1]))
+            t[np.arange(idx.size), idx // n] = chunk
             yield t
+        else:
+            yield np.broadcast_to(chunk[:, None, :], (idx.size, bsz, chunk.shape[1])).copy()
+
+
+def _basis(state: ForwardState, l0: int, l1: int,
+           through_first: bool = False) -> tuple[bool, int, Iterator[Array]]:
+    """Identity basis of the narrower side of the (l0, l1) segment, as
+    tangent stacks: the sweep direction (True: forward), how many of the
+    segment's blocks the stacks have already passed, and the stacks.
+
+    With ``through_first``, a forward basis whose first block has
+    ``basis_rows`` is built from those rows and enters after that block.
+    """
+    spec = state.spec
+    d0, d1 = spec.boundary_dim(l0), spec.boundary_dim(l1)
+    forward = d0 <= d1
+    n = d0 if forward else d1
+    rows, start = partial(_unit_rows, n), 0
+    if forward and through_first:
+        i = spec.segment(l0, l1)[0]
+        blk = spec.blocks[i]
+        image = OPS[blk.kind].basis_rows(blk, state.caches[i], n)
+        if image is not None:
+            rows, start = image.__getitem__, 1
+    stacks = _row_stacks(rows, n, state.batch_size, spec.segment_has_batchnorm(l0, l1))
+    return forward, start, stacks
 
 
 def _probes(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngStream | None,
@@ -104,31 +136,35 @@ def _probes(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngStream | No
     probe order: "output" probes are a Gaussian row on the upper boundary,
     "input" probes a Gaussian tangent on the lower one.
     """
+    if n_v == 0:
+        forward, _, stacks = _basis(state, l0, l1)
+        return forward, [stacks]
     spec = state.spec
     d0, d1 = spec.boundary_dim(l0), spec.boundary_dim(l1)
     bsz = state.batch_size
     coupled = spec.segment_has_batchnorm(l0, l1)
-    if n_v == 0:
-        forward = d0 <= d1
-        return forward, [_row_stacks(np.eye(d0 if forward else d1), bsz, coupled)]
     mode = probe_mode
     if mode == "auto":
         mode = "input" if coupled else "output"
     if mode == "output":
-        return False, (_row_stacks(rng.normal(d1)[None], bsz, coupled) for _ in range(n_v))
+        return False, (_row_stacks(rng.normal(d1)[None].__getitem__, 1, bsz, coupled)
+                       for _ in range(n_v))
     if mode == "input":
         return True, ([rng.normal((1, bsz, d0))] for _ in range(n_v))
     raise ValueError(f"unknown probe mode {probe_mode!r}")
 
 
 def _sweep_ssq(state: ForwardState, l0: int, l1: int, stacks: Iterable[Array],
-               forward: bool) -> float:
-    """Total sum of squares of the ``[S, B, d]`` stacks pushed forward from
-    boundary l0 to l1 (``forward``) or pulled back from l1 to l0."""
-    sweep = jvp_segment if forward else vjp_segment
+               forward: bool, start: int = 0) -> float:
+    """Total sum of squares of the ``[S, B, ...]`` stacks pushed forward to
+    boundary l1 from block ``start`` of the segment (``forward``), or
+    pulled back from l1 to l0."""
     ssq = 0.0
     for t in stacks:
-        out = sweep(state, l0, l1, t)
+        if forward:
+            out = jvp_segment(state, l0, l1, t, start=start)
+        else:
+            out = vjp_segment(state, l0, l1, t)
         ssq += float(np.sum(out * out))
     return ssq
 
@@ -152,8 +188,8 @@ def exact_apjn(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Arra
         raise ResourceBudgetError(
             f"exact Jacobian needs {entries:.3g} entries (budget {max_entries:.3g}); "
             f"use estimate_apjn instead")
-    forward, (basis,) = _probes(state, l0, l, 0, None, "auto")
-    return _sweep_ssq(state, l0, l, basis, forward) / (bsz * d1)
+    forward, start, basis = _basis(state, l0, l, through_first=True)
+    return _sweep_ssq(state, l0, l, basis, forward, start) / (bsz * d1)
 
 
 def estimate_segment(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngStream,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -286,6 +286,8 @@ class Op:
     and ``cache`` holds exactly what this kind's ``jvp(blk, cache, t,
     tskip)`` and ``vjp(blk, cache, g, gskip)`` read back. ``skip``,
     ``tskip`` and ``gskip`` carry the residual branch inputs.
+    ``basis_rows(blk, cache, dim)`` may give the JVP of a whole input basis
+    at once, so exact norms need not sweep the identity through the block.
 
     The derivative rules serve exact scalar gradients. Every kind's output
     is linear in its scalars: ``F(x) = a_s * L(x) + a_h * h``, with ``L``
@@ -319,6 +321,12 @@ class Op:
         if self.shift:
             out[self.shift] = float(np.sum(g * self.shift_view(blk, p[self.shift], g.ndim)))
         return out
+
+    def basis_rows(self, blk, cache, dim) -> Array | None:
+        """The JVP of each unit vector of the block's flattened
+        ``dim``-wide per-sample input, as the rows of a ``[dim, N_out]``
+        array (a view may do), or None where only ``jvp`` gives them."""
+        return None
 
     def djvp(self, blk, a_of, u, jt) -> dict:
         """Partials of ``<u, J t>`` per group scalar, given ``jt = J t``
@@ -393,6 +401,10 @@ class _Dense(_Weighted):
         f, s = _fold(g)
         out = f @ w if blk.axis == -1 else np.einsum("bqd,qp->bpd", f, w)
         return _unfold(out, s)
+
+    def basis_rows(self, blk, w, dim):
+        # the JVP of e_k is e_k @ w.T, which is w.T[k] bit for bit
+        return w.T if blk.axis == -1 and dim == blk.fan_in else None
 
 
 class _Conv2d(_Weighted):
@@ -756,12 +768,6 @@ class AuxScalars:
     def as_vector(self) -> np.ndarray:
         return np.array([self.values[k] for k in self.keys()], dtype=np.float64)
 
-    def with_vector(self, vec: Sequence[float]) -> "AuxScalars":
-        keys = self.keys()
-        if len(vec) != len(keys):
-            raise ValueError("vector length mismatch")
-        return AuxScalars({k: float(v) for k, v in zip(keys, vec)})
-
     def clamped(self, lo: float, hi: float) -> "AuxScalars":
         return AuxScalars({k: min(max(v, lo), hi) for k, v in self.values.items()})
 
@@ -804,13 +810,6 @@ class BatchActivations:
 
     boundaries: list  # list[Array [B, N_l]]
     batch_size: int
-
-    @property
-    def dims(self) -> list[int]:
-        return [a.shape[1] for a in self.boundaries]
-
-    def __len__(self) -> int:
-        return len(self.boundaries)
 
 
 @dataclass
@@ -932,17 +931,20 @@ def _unfold(t: Array, s: int) -> Array:
 
 
 def jvp_segment(state: ForwardState, b0: int, b1: int, tangent: Array,
-                tape: list | None = None) -> Array:
+                tape: list | None = None, *, start: int = 0) -> Array:
     """Push ``[S, B, N_b0]`` tangents forward from boundary b0 to b1.
 
-    ``tape``, when given, receives the tangent at each position of the
-    segment, unflattened: position ``k`` is the input of its ``k``-th block
-    and the last position the segment output.
+    ``start`` is how many of the segment's leading blocks the tangent has
+    already passed; it is then shaped as their output, and no residual
+    branch may be open there. ``tape``, when given, receives the tangent at
+    each position of the segment from ``start`` on, unflattened: position
+    ``k`` is the input of its ``k``-th block and the last position the
+    segment output.
     """
     spec = state.spec
-    seg = spec.segment(b0, b1)
+    seg = spec.segment(b0, b1)[start:]
     t = np.asarray(tangent, dtype=np.float64)
-    t = t.reshape(t.shape[0], t.shape[1], *spec.boundary_shape(b0))
+    t = t.reshape(t.shape[0], t.shape[1], *spec.shapes[seg.start])
     tskip: list[Array] = []
     for i in seg:
         if tape is not None:

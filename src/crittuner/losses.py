@@ -81,9 +81,6 @@ def jkl(j, k, lam: float, span: tuple[int, int] | None = None) -> LossValue:
     return LossValue(math.fsum(terms), terms, dj, dk)
 
 
-LOSSES = {"jll": jll, "jsl": jsl, "jkl": jkl}
-
-
 def kernel_profile(acts: BatchActivations) -> np.ndarray:
     """Empirical diagonal kernel per boundary: mean squared flattened activation."""
     return np.array([float((a * a).mean()) for a in acts.boundaries])

@@ -53,10 +53,6 @@ class RngStream:
         mixed = _splitmix64(self.stream_id ^ _splitmix64(int(tag) & _U64))
         return RngStream(self.seed, mixed)
 
-    def split(self, n: int) -> list["RngStream"]:
-        """n independent child streams, e.g. one per parallel worker."""
-        return [self.child(i + 1) for i in range(n)]
-
     def normal(self, shape: Sequence[int] | int, mean: float = 0.0, std: float = 1.0) -> Array:
         if std < 0:
             raise ValueError(f"standard deviation must be >= 0, got {std}")
@@ -71,16 +67,6 @@ class RngStream:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"
-
-
-def gaussian(shape: Sequence[int] | int, mean: float, std: float, rng: RngStream) -> Array:
-    """iid N(mean, std^2) tensor; deterministic per stream, std=0 allowed."""
-    return rng.normal(shape, mean, std)
-
-
-def flatten(t: Array) -> Array:
-    """Merge all axes into one, preserving row-major data order."""
-    return np.ascontiguousarray(t).reshape(-1)
 
 
 def flatten_batch(t: Array) -> Array:

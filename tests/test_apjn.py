@@ -1,8 +1,11 @@
+import zlib
+
 import numpy as np
 import pytest
 
 from crittuner.apjn import (
     ResourceBudgetError,
+    _basis,
     apjn_profile,
     estimate_apjn,
     estimate_segment,
@@ -14,11 +17,14 @@ from crittuner.blocks import (
     AuxScalars,
     NetworkSpec,
     activation,
+    batchnorm,
     dense,
     init_params,
+    jvp_segment,
     run_network,
+    vjp_segment,
 )
-from crittuner.presets import linear_mlp, prebn_residual_mlp, relu_mlp
+from crittuner.presets import conv_bn_relu_stack, linear_mlp, mlp, prebn_residual_mlp, relu_mlp
 from crittuner.tensor import RngStream
 
 SQRT2 = np.sqrt(2.0)
@@ -75,8 +81,8 @@ def test_estimator_unbiased_against_exact():
     state = run_network(spec, params, aux, x)
     exact = exact_apjn(spec, params, aux, x, 1, 2, state=state)
     for mode in ("output", "input"):
-        val, err, _ = estimate_segment(state, 1, 2, 800, rng.child(hash(mode) % 100),
-                                       probe_mode=mode)
+        stream = rng.child(zlib.crc32(mode.encode()) % 100)
+        val, err, _ = estimate_segment(state, 1, 2, 800, stream, probe_mode=mode)
         assert abs(val - exact) <= 3 * err, mode
 
 
@@ -202,3 +208,76 @@ def test_factorization_small_at_width():
     spec = relu_mlp(3, 400, SQRT2)
     x, params, aux, _ = _mlp_setup(spec, 16, 4)
     assert factorization_residual(spec, params, aux, x, 0) < 0.08
+
+
+def _eye_sweep_apjn(state, l0, l1):
+    """Reference for exact_apjn: the whole identity of the narrower side in
+    stacks of 128 C-contiguous rows, each broadcast over the batch (or
+    placed at one sample where batch norm couples the segment), pushed
+    through every block of the segment."""
+    spec = state.spec
+    d0, d1 = spec.boundary_dim(l0), spec.boundary_dim(l1)
+    forward = d0 <= d1
+    n, bsz = (d0 if forward else d1), state.batch_size
+    eye = np.eye(n)
+    if spec.segment_has_batchnorm(l0, l1):
+        rows = np.zeros((bsz * n, bsz, n))
+        rows[np.arange(bsz * n), np.arange(bsz * n) // n] = np.tile(eye, (bsz, 1))
+    else:
+        rows = np.broadcast_to(eye[:, None, :], (n, bsz, n))
+    sweep = jvp_segment if forward else vjp_segment
+    ssq = 0.0
+    for c0 in range(0, rows.shape[0], 128):
+        out = sweep(state, l0, l1, rows[c0:c0 + 128].copy())
+        ssq += float(np.sum(out * out))
+    return ssq / (bsz * d1)
+
+
+def _bit_identity_state(spec, batch):
+    rng = RngStream(31)
+    params = init_params(spec, rng.child(1))
+    aux = AuxScalars.ones(spec, "all")
+    for n, key in enumerate(aux.keys()):
+        aux.values[key] = 0.8 + 0.07 * n   # exercise non-unit scalars
+    x = rng.child(2).normal((batch, *spec.input_shape))
+    return spec, params, aux, x, run_network(spec, params, aux, x)
+
+
+def _assert_bit_identical(spec, params, aux, x, state, starts):
+    for (l0, l1), start in starts.items():
+        assert _basis(state, l0, l1, through_first=True)[1] == start, (l0, l1)
+        got = exact_apjn(spec, params, aux, x, l0, l1, state=state)
+        assert got == _eye_sweep_apjn(state, l0, l1), (l0, l1)
+
+
+@pytest.mark.parametrize("batch", [1, 4, 16])
+@pytest.mark.parametrize("width", [130, 300])
+@pytest.mark.parametrize("act", ["relu", "gelu", "tanh"])
+def test_exact_dense_first_bases_are_bit_identical(act, width, batch):
+    # the dense block's weight rows stand in for its JVP of the identity
+    spec = mlp(2, width, 1.3, 0.3, act=act)
+    _assert_bit_identical(*_bit_identity_state(spec, batch),
+                          {(0, 1): 1, (1, 2): 1, (0, 2): 1})
+
+
+# per checked pair, the block the basis enters at: 1 where a dense block
+# opens the segment, 0 where the whole segment is swept
+OTHER_SEGMENTS = {
+    # batch norm couples the samples: weight rows placed per sample
+    "dense-bn": (NetworkSpec((dense(130, 1.2, 0.3), batchnorm(),
+                              activation("relu", boundary=True),
+                              dense(130, 1.1), activation("tanh", boundary=True)), (130,)),
+                 {(0, 1): 1, (1, 2): 1, (0, 2): 1}),
+    "bn-first": (NetworkSpec((batchnorm(), dense(130, 1.2, 0.3),
+                              activation("gelu", boundary=True)), (130,)), {(0, 1): 0}),
+    "res-open": (prebn_residual_mlp(2, 130, 1.2, 0.3, mu=0.7), {(0, 1): 0, (0, 2): 0}),
+    "conv": (conv_bn_relu_stack((3, 4), 1.3, 0.2, image=(2, 5, 5)), {(0, 1): 0, (1, 2): 0}),
+    # wider input: the basis is pulled back from the output side
+    "reverse": (mlp(1, 130, 1.3, 0.3, in_dim=300), {(0, 1): 0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_SEGMENTS))
+def test_exact_bases_of_other_segments_are_bit_identical(name):
+    spec, starts = OTHER_SEGMENTS[name]
+    _assert_bit_identical(*_bit_identity_state(spec, 4), starts)

@@ -75,7 +75,7 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_jvp_matches_numeric_and_vjp_is_adjoint(name):
     spec = CASES[name]
-    rng = RngStream(hash(name) % 1000)
+    rng = RngStream(zlib.crc32(name.encode()) % 1000)
     params = init_params(spec, rng.child(1))
     aux = AuxScalars.ones(spec, "all")
     for n, key in enumerate(aux.keys()):
@@ -151,7 +151,8 @@ def _fd_grad(spec, params, aux, x, cfg, rng, h=1e-5):
         for sign in (1.0, -1.0):
             vec = base.copy()
             vec[n] = base[n] * (1.0 + sign * h)
-            _, js, ks = tuner._measure(spec, params, aux.with_vector(vec), x, cfg, pairs, rng)
+            shifted = AuxScalars(dict(zip(aux.keys(), vec)))
+            _, js, ks = tuner._measure(spec, params, shifted, x, cfg, pairs, rng)
             losses.append(tuner._loss_of(cfg, js, ks))
         grads[key] = (losses[0] - losses[1]) / (2.0 * base[n] * h)
     return grads

@@ -192,7 +192,7 @@ def test_boundary_count_matches_depth():
     spec = prebn_residual_mlp(5, 8, 1.0)
     x = RngStream(0).normal((3, 8))
     acts = forward(spec, init_params(spec, RngStream(1)), AuxScalars.ones(spec), x)
-    assert len(acts) == spec.L + 2 == 6
+    assert len(acts.boundaries) == spec.L + 2 == 6
 
 
 def test_conv_and_pool_shapes():

@@ -1,35 +1,34 @@
 import numpy as np
 import pytest
 
-from crittuner.tensor import RngStream, flatten, gaussian
+from crittuner.tensor import RngStream
 
 
 def test_zero_std_is_exact_mean():
-    rng = RngStream(7)
-    t = gaussian([4], 0.0, 0.0, rng)
+    t = RngStream(7).normal([4], 0.0, 0.0)
     assert t.shape == (4,)
     assert np.all(t == 0.0)
 
 
 def test_negative_std_rejected():
     with pytest.raises(ValueError):
-        gaussian([3], 0.0, -1.0, RngStream(0))
+        RngStream(0).normal([3], 0.0, -1.0)
 
 
 def test_determinism_same_seed_stream():
-    a = gaussian([32, 5], 1.0, 2.0, RngStream(42, 3))
-    b = gaussian([32, 5], 1.0, 2.0, RngStream(42, 3))
+    a = RngStream(42, 3).normal([32, 5], 1.0, 2.0)
+    b = RngStream(42, 3).normal([32, 5], 1.0, 2.0)
     assert a.dtype == np.float64
     assert np.array_equal(a, b)
 
 
 def test_streams_differ_and_children_are_stable():
-    base = gaussian([64], 0.0, 1.0, RngStream(42, 0))
-    other = gaussian([64], 0.0, 1.0, RngStream(42, 1))
+    base = RngStream(42, 0).normal([64])
+    other = RngStream(42, 1).normal([64])
     assert not np.array_equal(base, other)
-    c1 = gaussian([64], 0.0, 1.0, RngStream(42, 0).child(5))
-    c2 = gaussian([64], 0.0, 1.0, RngStream(42, 0).child(5))
-    c3 = gaussian([64], 0.0, 1.0, RngStream(42, 0).child(6))
+    c1 = RngStream(42, 0).child(5).normal([64])
+    c2 = RngStream(42, 0).child(5).normal([64])
+    c3 = RngStream(42, 0).child(6).normal([64])
     assert np.array_equal(c1, c2)
     assert not np.array_equal(c1, c3)
 
@@ -44,33 +43,15 @@ def test_counter_advances():
 def test_gaussian_moments_large_sample():
     # CLT bounds: |mean| <= 4 std / sqrt(n), |var - std^2| <= 5 std^2 / sqrt(n)
     n = 10 ** 6
-    t = gaussian([n], 0.0, 1.0, RngStream(2024))
+    t = RngStream(2024).normal([n])
     assert abs(t.mean()) <= 4.0 / np.sqrt(n)
     assert abs(t.var() - 1.0) <= 5.0 / np.sqrt(n)
     assert abs(t.mean()) < 3e-3
     assert abs(t.var() - 1.0) < 1e-2
 
 
-def test_split_gives_independent_lanes():
-    lanes = RngStream(9).split(4)
-    draws = [gaussian([16], 0.0, 1.0, r) for r in lanes]
+def test_children_give_independent_lanes():
+    draws = [RngStream(9).child(i + 1).normal([16]) for i in range(4)]
     for i in range(4):
         for j in range(i + 1, 4):
             assert not np.array_equal(draws[i], draws[j])
-
-
-def test_flatten_row_major():
-    t = np.arange(1.0, 7.0).reshape(2, 3)
-    f = flatten(t)
-    assert f.shape == (6,)
-    assert np.array_equal(f, np.arange(1.0, 7.0))
-
-
-def test_flatten_identity_on_vectors():
-    t = np.arange(5.0)
-    assert np.array_equal(flatten(t), t)
-
-
-def test_flatten_three_axes():
-    t = np.arange(1.0, 9.0).reshape(2, 2, 2)
-    assert np.array_equal(flatten(t), np.arange(1.0, 9.0))
