@@ -50,7 +50,7 @@ def test_gaussian_moments_large_sample():
     assert abs(t.var() - 1.0) < 1e-2
 
 
-def test_children_give_independent_lanes():
+def test_split_gives_independent_lanes():
     draws = [RngStream(9).child(i + 1).normal([16]) for i in range(4)]
     for i in range(4):
         for j in range(i + 1, 4):
