@@ -2,7 +2,8 @@
 
 Every command reads one flat config file. Results go to ``--out`` (CSV by
 default, JSON with ``--format json``) or stdout. Exit codes: 0 success,
-2 configuration problem, 3 tuning divergence, 4 verification failure.
+2 configuration problem, 3 divergence (a non-finite tuning loss, or a
+non-finite norm or kernel in a measurement), 4 verification failure.
 Scans parallelize over grid points with one independent random stream per
 point (stream id = point index), so results never depend on worker count.
 """
@@ -87,15 +88,31 @@ def _setup(cfg: ExperimentConfig, seed: int, stream_id: int = 0):
 # measure
 # --------------------------------------------------------------------------
 
-def cmd_measure(cfg: ExperimentConfig, args) -> int:
-    seed = cfg.seed if args.seed is None else args.seed
-    net, rng, batch, params = _setup(cfg, seed)
+def _measure(cfg: ExperimentConfig, seed: int, stream_id: int = 0):
+    """Norm report of the configured network and the boundary kernels of its first draw."""
+    net, rng, batch, params = _setup(cfg, seed, stream_id)
     aux = AuxScalars.ones(net, "none")
     m = cfg.measure
     report = apjn_profile(net, params, aux, batch, m.k, method=m.method, n_v=m.n_v,
                           n_param_samples=m.param_samples, rng=rng.child(3),
                           probe_mode=m.probe_mode)
-    kernels = kernel_profile(forward(net, params, aux, batch))
+    return report, kernel_profile(forward(net, params, aux, batch))
+
+
+def _first_non_finite(report, kernels) -> str | None:
+    """Names the first non-finite norm, else kernel, of a measurement; None if all are finite."""
+    for p in report.pairs:
+        if not np.isfinite(p.value):
+            return f"norm of pair ({p.l0}, {p.l}) is {p.value}"
+    for i, v in enumerate(kernels):
+        if not np.isfinite(v):
+            return f"kernel at boundary {i} is {v}"
+    return None
+
+
+def cmd_measure(cfg: ExperimentConfig, args) -> int:
+    seed = cfg.seed if args.seed is None else args.seed
+    report, kernels = _measure(cfg, seed)
     if args.format == "json":
         doc = {
             "apjn": [vars(p) for p in report.pairs],
@@ -106,6 +123,10 @@ def cmd_measure(cfg: ExperimentConfig, args) -> int:
         _emit("\n".join(report.csv_rows()), args.out)
         krows = ["boundary,kernel"] + [f"{i},{v:.12g}" for i, v in enumerate(kernels)]
         _emit("\n".join(krows), _sibling(args.out, ".kernels.csv"))
+    bad = _first_non_finite(report, kernels)
+    if bad is not None:
+        sys.stderr.write(f"divergence: {bad}\n")
+        return EXIT_DIVERGED
     return EXIT_OK
 
 
@@ -209,14 +230,11 @@ def _scan_point(cfg: ExperimentConfig, names, values, seed: int, index: int) -> 
     row = {name: float(v) for name, v in zip(names, values)}
     row["point"] = index
     try:
+        diverged = False
         if cfg.scan.mode == "measure":
-            net, rng, batch, params = _setup(cfg, seed, stream_id=index)
-            aux = AuxScalars.ones(net, "none")
-            m = cfg.measure
-            report = apjn_profile(net, params, aux, batch, m.k, method=m.method,
-                                  n_v=m.n_v, n_param_samples=m.param_samples,
-                                  rng=rng.child(3), probe_mode=m.probe_mode)
+            report, kernels = _measure(cfg, seed, stream_id=index)
             js = report.values()
+            diverged = _first_non_finite(report, kernels) is not None
             row["steps"] = 0
         else:
             net, rng, batch, params = _setup(cfg, seed, stream_id=index)
@@ -225,8 +243,8 @@ def _scan_point(cfg: ExperimentConfig, names, values, seed: int, index: int) -> 
             row["steps"] = result.steps_used
         row["j_min"] = float(np.min(js))
         row["j_max"] = float(np.max(js))
-        row["converged"] = int(bool(np.all((js > BAND[0]) & (js < BAND[1]))))
-        row["status"] = "ok"
+        row["converged"] = int(not diverged and bool(np.all((js > BAND[0]) & (js < BAND[1]))))
+        row["status"] = "diverged" if diverged else "ok"
         row["js"] = [float(v) for v in js]
     except DivergenceError:
         row.update(steps=cfg.tune.t_max, j_min=float("nan"), j_max=float("nan"),

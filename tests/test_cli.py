@@ -101,6 +101,41 @@ def test_tune_divergence_exit_code(tmp_path):
     assert out.read_text().startswith("t,loss")
 
 
+def _overflow_cfg(tmp_path, extra: str = ""):
+    # sigma_w = 1e6 multiplies the squared activations by ~1e12 per layer, so
+    # the float64 range runs out about halfway up the stack.
+    blocks = "\n".join(
+        f"net.block.{2*i+1:03d} = dense out=20 sigma_w=1e6 sigma_b=0.0\n"
+        f"net.block.{2*i+2:03d} = act kind=relu boundary"
+        for i in range(60))
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("seed = 3\ndata.batch = 4\nnet.input = 20\n" + blocks +
+                   "\nmeasure.method = exact\n" + extra)
+    return cfg
+
+
+def test_measure_non_finite_exit_code(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with np.errstate(all="ignore"):
+        rc = main(["measure", "--config", str(_overflow_cfg(tmp_path)), "--out", str(out),
+                   "--format", "json"])
+    assert rc == 3
+    doc = json.loads(out.read_text())
+    assert len(doc["apjn"]) == 60
+    assert not np.isfinite(doc["kernels"][-1]["value"])
+    assert capsys.readouterr().err.startswith("divergence: kernel at boundary 27 is inf")
+
+
+def test_measure_scan_marks_non_finite_point_diverged(tmp_path):
+    cfg = _overflow_cfg(tmp_path, "scan.mode = measure\nscan.axis.sigma_w = 1.0 1e6 2\n")
+    out = tmp_path / "grid.json"
+    with np.errstate(all="ignore"):
+        rc = main(["scan", "--config", str(cfg), "--out", str(out), "--format", "json"])
+    assert rc == 0
+    rows = json.loads(out.read_text())
+    assert [(r["status"], r["converged"]) for r in rows] == [("ok", 0), ("diverged", 0)]
+
+
 def test_scan_grid_rows_and_worker_determinism(mlp_cfg, tmp_path):
     text = mlp_cfg.read_text() + "scan.mode = measure\nscan.axis.sigma_w = 1.0 2.0 3\n"
     cfg = tmp_path / "scan.cfg"

@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -55,3 +61,32 @@ def test_split_gives_independent_lanes():
     for i in range(4):
         for j in range(i + 1, 4):
             assert not np.array_equal(draws[i], draws[j])
+
+
+_FAULT_SCRIPT = """
+import resource
+from crittuner.blocks import AuxScalars, init_params, run_network
+from crittuner.presets import relu_mlp
+from crittuner.tensor import RngStream
+spec = relu_mlp(10, 500, 2 ** 0.5)
+rng = RngStream(0)
+params = init_params(spec, rng.child(1))
+aux = AuxScalars.ones(spec)
+x = rng.child(2).normal([4, 500])
+for _ in range(3):
+    run_network(spec, params, aux, x)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    run_network(spec, params, aux, x)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator policy is glibc-only")
+def test_forward_pass_reuses_freed_heap():
+    # A fresh process: a long-lived one may already reuse its heap by chance.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert float(out.stdout) < 50
