@@ -19,9 +19,10 @@ from crittuner import (
     bn_apjn_limit,
     bn_chaos_value,
     bn_kernel_at_depth,
-    estimate_apjn,
+    estimate_segment,
     gaussian_batch,
     init_params,
+    run_network,
 )
 from crittuner.presets import prebn_residual_mlp
 
@@ -36,8 +37,9 @@ def measure(sigma_w, sigma_b, mu):
         rng = RngStream(100 + s)
         x = gaussian_batch(spec.input_shape, BATCH, rng.child(1))
         params = init_params(spec, rng.child(2))
-        v, _ = estimate_apjn(spec, params, AuxScalars.ones(spec), x, DEPTH,
-                             PROBES, rng.child(3), probe_mode="input")
+        state = run_network(spec, params, AuxScalars.ones(spec), x)
+        v, _ = estimate_segment(state, DEPTH, DEPTH + 1, PROBES, rng.child(3),
+                                probe_mode="input")
         vals.append(v)
     return float(np.mean(vals))
 

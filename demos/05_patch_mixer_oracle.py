@@ -36,8 +36,7 @@ for act in ("gelu", "relu"):
         for s in range(SAMPLES):
             params = init_params(spec, rng.child(100 + s))
             state = run_network(spec, params, AuxScalars.ones(spec), x)
-            js.append(exact_apjn(spec, params, AuxScalars.ones(spec), x,
-                                 BLOCKS, BLOCKS + 1, state=state))
+            js.append(exact_apjn(state, BLOCKS, BLOCKS + 1))
             k0s.append(float((state.boundary(1) ** 2).mean()))
         k = float(np.mean(k0s))
         for _ in range(BLOCKS - 1):

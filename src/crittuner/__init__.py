@@ -11,13 +11,12 @@ from .apjn import (
     ApjnReport,
     ResourceBudgetError,
     apjn_profile,
-    estimate_apjn,
+    estimate_segment,
     exact_apjn,
     factorization_residual,
 )
 from .blocks import (
     AuxScalars,
-    BatchActivations,
     BlockSpec,
     NetworkSpec,
     activation,
@@ -27,7 +26,6 @@ from .blocks import (
     conv2d,
     dense,
     flatten_block,
-    forward,
     gelu,
     init_params,
     layer_scale,

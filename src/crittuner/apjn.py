@@ -2,13 +2,17 @@
 
 The observable is the squared Frobenius norm of the Jacobian of one
 flattened boundary activation with respect to an earlier one, normalized by
-batch size and output width. ``exact_apjn`` accumulates it from basis
-tangents (forward columns or reverse rows, whichever side is narrower);
-a forward basis that enters through a dense block starts from its weight
-rows, which are that block's image of the identity bit for bit.
-``estimate_apjn`` is the unbiased Monte-Carlo version driven by Gaussian
-probe vectors, one JVP/VJP sweep per probe. ``scalar_gradient`` is the
-exact gradient of either, with its probes, in the twin network's scalars.
+batch size and output width, and read off the caller's
+:class:`~crittuner.blocks.ForwardState`: only ``apjn_profile``, which draws
+the parameters it averages over, runs forward passes. ``exact_apjn``
+accumulates it from basis tangents (forward columns or reverse rows,
+whichever side is narrower); a forward basis that enters through a dense
+block starts from its weight rows, which are that block's image of the
+identity bit for bit. ``estimate_segment`` is the unbiased Monte-Carlo
+version driven by Gaussian probe vectors, one JVP/VJP sweep per probe.
+``scalar_gradient`` is the exact gradient of either, with its probes, in
+the twin network's scalars. A pair with a non-finite boundary activation
+measures NaN, since a ReLU mask would read NaN as inactive.
 
 Networks without batch normalization have batch-block-diagonal Jacobians,
 so both paths collapse the batch index and a single broadcast basis covers
@@ -169,32 +173,43 @@ def _sweep_ssq(state: ForwardState, l0: int, l1: int, stacks: Iterable[Array],
     return ssq
 
 
-def exact_apjn(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Array,
-               l0: int, l: int, *, max_entries: int = DEFAULT_MAX_ENTRIES,
-               state: ForwardState | None = None) -> float:
-    """Exact boundary-to-boundary squared Jacobian norm for one parameter draw.
+def _exact_entries(spec: NetworkSpec, l0: int, l1: int, batch_size: int) -> int:
+    """Entries of the (l0, l1) Jacobian an exact sweep assembles: the full
+    cross-sample block where batch norm couples the segment, one sample's
+    otherwise."""
+    b_eff = batch_size if spec.segment_has_batchnorm(l0, l1) else 1
+    return spec.boundary_dim(l0) * spec.boundary_dim(l1) * b_eff * b_eff
+
+
+def _finite_ends(state: ForwardState, l0: int, l1: int) -> bool:
+    return bool(np.isfinite(state.boundary(l0)).all() and np.isfinite(state.boundary(l1)).all())
+
+
+def exact_apjn(state: ForwardState, l0: int, l1: int, *,
+               max_entries: int = DEFAULT_MAX_ENTRIES) -> float:
+    """Exact (l0, l1) squared Jacobian norm of the forward pass ``state``.
 
     Averages over the batch and normalizes by the output width; expectation
-    over parameter draws is up to the caller (see ``apjn_profile``).
+    over parameter draws is up to the caller (see ``apjn_profile``). NaN
+    when either boundary activation is non-finite.
     """
-    if state is None:
-        state = run_network(spec, params, aux, batch)
-    d0, d1 = spec.boundary_dim(l0), spec.boundary_dim(l)
-    bsz = state.batch_size
-    coupled = spec.segment_has_batchnorm(l0, l)
-    b_eff = bsz if coupled else 1
-    entries = d0 * d1 * b_eff * b_eff
+    entries = _exact_entries(state.spec, l0, l1, state.batch_size)
     if entries > max_entries:
         raise ResourceBudgetError(
             f"exact Jacobian needs {entries:.3g} entries (budget {max_entries:.3g}); "
-            f"use estimate_apjn instead")
-    forward, start, basis = _basis(state, l0, l, through_first=True)
-    return _sweep_ssq(state, l0, l, basis, forward, start) / (bsz * d1)
+            f"use estimate_segment instead")
+    if not _finite_ends(state, l0, l1):
+        return float("nan")
+    forward, start, basis = _basis(state, l0, l1, through_first=True)
+    norm = state.batch_size * state.spec.boundary_dim(l1)
+    return _sweep_ssq(state, l0, l1, basis, forward, start) / norm
 
 
 def estimate_segment(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngStream,
-                     *, probe_mode: str = "auto") -> tuple[float, float, np.ndarray]:
-    """Probe-vector estimate of the (l0, l1) norm; returns (value, stderr, terms).
+                     *, probe_mode: str = "auto") -> tuple[float, float]:
+    """Probe-vector estimate of the (l0, l1) norm of the forward pass
+    ``state``; returns (value, stderr), both NaN when either boundary
+    activation is non-finite (stderr is also NaN for a single probe).
 
     "output" probes contract a fresh unit Gaussian vector with the upper
     boundary and pull it back; "input" probes push a Gaussian tangent
@@ -204,24 +219,13 @@ def estimate_segment(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngSt
     """
     if n_v < 1:
         raise ValueError(f"need at least one probe vector, got {n_v}")
+    if not _finite_ends(state, l0, l1):
+        return float("nan"), float("nan")
     forward, probes = _probes(state, l0, l1, n_v, rng, probe_mode)
     norm = state.batch_size * state.spec.boundary_dim(l1)
     terms = np.array([_sweep_ssq(state, l0, l1, stacks, forward) for stacks in probes]) / norm
-    value = float(terms.mean())
     stderr = float(terms.std(ddof=1) / np.sqrt(n_v)) if n_v > 1 else float("nan")
-    return value, stderr, terms
-
-
-def estimate_apjn(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Array,
-                  l: int, n_v: int, rng: RngStream, *, l1: int | None = None,
-                  probe_mode: str = "auto",
-                  state: ForwardState | None = None) -> tuple[float, float]:
-    """Unbiased probe estimate of the (l, l+1) norm with its standard error."""
-    if state is None:
-        state = run_network(spec, params, aux, batch)
-    value, stderr, _ = estimate_segment(state, l, l + 1 if l1 is None else l1,
-                                        n_v, rng, probe_mode=probe_mode)
-    return value, stderr
+    return float(terms.mean()), stderr
 
 
 def _ssq_gradient(state: ForwardState, l0: int, l1: int, stacks: Iterable[Array],
@@ -346,30 +350,25 @@ def apjn_profile(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Ar
         rng = RngStream(0)
     pairs = profile_pairs(spec, k)
     bsz = np.asarray(batch).shape[0]
+    methods = {}
+    for (l0, l1) in pairs:
+        within = _exact_entries(spec, l0, l1, bsz) <= max_entries
+        methods[(l0, l1)] = method if method != "auto" else ("exact" if within else "estimate")
     per_pair_vals: dict[tuple[int, int], list[float]] = {p: [] for p in pairs}
     per_pair_err: dict[tuple[int, int], list[float]] = {p: [] for p in pairs}
-    methods: dict[tuple[int, int], str] = {}
     for s in range(n_param_samples):
         ps = params if s == 0 else init_params(spec, rng.child(10_000 + s))
         state = run_network(spec, ps, aux, batch)
         for (l0, l1) in pairs:
-            m = method
-            if m == "auto":
-                coupled = spec.segment_has_batchnorm(l0, l1)
-                b_eff = bsz if coupled else 1
-                within = spec.boundary_dim(l0) * spec.boundary_dim(l1) * b_eff * b_eff <= max_entries
-                m = "exact" if within else "estimate"
-            if m == "exact":
-                val = exact_apjn(spec, ps, aux, batch, l0, l1,
-                                 max_entries=max_entries, state=state)
+            if methods[(l0, l1)] == "exact":
+                val = exact_apjn(state, l0, l1, max_entries=max_entries)
                 err = float("nan")
             else:
-                val, err, _ = estimate_segment(state, l0, l1, n_v,
-                                               rng.child(20_000 + s * 1000 + l0),
-                                               probe_mode=probe_mode)
+                val, err = estimate_segment(state, l0, l1, n_v,
+                                            rng.child(20_000 + s * 1000 + l0),
+                                            probe_mode=probe_mode)
             per_pair_vals[(l0, l1)].append(val)
             per_pair_err[(l0, l1)].append(err)
-            methods[(l0, l1)] = m
     out = []
     for (l0, l1) in pairs:
         vals = np.array(per_pair_vals[(l0, l1)])
@@ -388,14 +387,11 @@ def apjn_profile(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Ar
     return ApjnReport(out)
 
 
-def factorization_residual(spec: NetworkSpec, params: ParamSet, aux: AuxScalars,
-                           batch: Array, l: int, *,
-                           max_entries: int = DEFAULT_MAX_ENTRIES,
-                           state: ForwardState | None = None) -> float:
-    """Relative gap between the two-step norm and the product of one-step norms."""
-    if state is None:
-        state = run_network(spec, params, aux, batch)
-    j02 = exact_apjn(spec, params, aux, batch, l, l + 2, max_entries=max_entries, state=state)
-    j01 = exact_apjn(spec, params, aux, batch, l, l + 1, max_entries=max_entries, state=state)
-    j12 = exact_apjn(spec, params, aux, batch, l + 1, l + 2, max_entries=max_entries, state=state)
+def factorization_residual(state: ForwardState, l: int, *,
+                           max_entries: int = DEFAULT_MAX_ENTRIES) -> float:
+    """Relative gap between the two-step norm and the product of one-step
+    norms at boundary ``l`` of the forward pass ``state``."""
+    j02 = exact_apjn(state, l, l + 2, max_entries=max_entries)
+    j01 = exact_apjn(state, l, l + 1, max_entries=max_entries)
+    j12 = exact_apjn(state, l + 1, l + 2, max_entries=max_entries)
     return abs(j02 - j01 * j12) / j02

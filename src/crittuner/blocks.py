@@ -805,19 +805,12 @@ def scale_spec_sigmas(spec: NetworkSpec, aux: AuxScalars) -> NetworkSpec:
 # --------------------------------------------------------------------------
 
 @dataclass
-class BatchActivations:
-    """Flattened activations at every measurement boundary for one batch."""
-
-    boundaries: list  # list[Array [B, N_l]]
-    batch_size: int
-
-
-@dataclass
 class ForwardState:
     """Forward pass with per-block caches, ready for JVP/VJP traversals.
 
     ``caches[i]`` is the cache ``OPS[kind].forward`` returned for block
-    ``i``; only that kind's ``jvp`` and ``vjp`` read it.
+    ``i``; only that kind's ``jvp`` and ``vjp`` read it. ``boundaries[b]``
+    is the flattened activation ``[B, N_b]`` at measurement boundary b.
     """
 
     spec: NetworkSpec
@@ -825,10 +818,10 @@ class ForwardState:
     aux: AuxScalars
     batch_size: int
     caches: list
-    activations: BatchActivations
+    boundaries: list
 
     def boundary(self, b: int) -> Array:
-        return self.activations.boundaries[b]
+        return self.boundaries[b]
 
 
 def _bn_axes(ndim: int) -> tuple[int, ...]:
@@ -900,13 +893,7 @@ def run_network(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Arr
         caches.append(cache)
         if (i + 1) in cutset:
             bounds.append(flatten_batch(x))
-    acts = BatchActivations(bounds, bsz)
-    return ForwardState(spec, params, aux, bsz, caches, acts)
-
-
-def forward(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Array) -> BatchActivations:
-    """Flattened activations at every measurement boundary."""
-    return run_network(spec, params, aux, batch).activations
+    return ForwardState(spec, params, aux, bsz, caches, bounds)
 
 
 def normalize_unit_second_moment(x: Array) -> Array:

@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .apjn import apjn_profile
-from .blocks import OPS, AuxScalars, NetworkSpec, forward, init_params
+from .blocks import OPS, AuxScalars, NetworkSpec, init_params, run_network
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -96,7 +96,7 @@ def _measure(cfg: ExperimentConfig, seed: int, stream_id: int = 0):
     report = apjn_profile(net, params, aux, batch, m.k, method=m.method, n_v=m.n_v,
                           n_param_samples=m.param_samples, rng=rng.child(3),
                           probe_mode=m.probe_mode)
-    return report, kernel_profile(forward(net, params, aux, batch))
+    return report, kernel_profile(run_network(net, params, aux, batch))
 
 
 def _first_non_finite(report, kernels) -> str | None:

@@ -3,9 +3,9 @@
 All three losses are pure functions. The log loss penalizes squared log
 norms, the square loss squared deviations from 1, and the kernel-augmented
 variant adds squared log ratios of adjacent boundary kernels weighted by
-``lam``. The summation range is caller-selectable because the input/output
-pairs can be included or not; ``span=(lo, hi)`` keeps pair terms ``lo..hi-1``
-and the matching kernel ratios.
+``lam``. Each loss sums over every pair it is given; the tuner picks which
+pairs (and so which kernels) enter. ``kernel_profile`` reads the kernels off
+a forward state.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BatchActivations
+from .blocks import ForwardState
 
 
 @dataclass
@@ -54,12 +54,11 @@ def jsl(j) -> LossValue:
     return LossValue(math.fsum(terms), terms.tolist(), arr - 1.0)
 
 
-def jkl(j, k, lam: float, span: tuple[int, int] | None = None) -> LossValue:
+def jkl(j, k, lam: float) -> LossValue:
     """Log loss plus ``lam/2`` times squared log kernel ratios.
 
     ``j`` holds pair norms (pair ``l`` connects boundaries ``l`` and
     ``l+1``), ``k`` the per-boundary kernels (one entry more than ``j``).
-    ``span=(lo, hi)`` restricts to pairs ``lo..hi-1``.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
@@ -67,20 +66,15 @@ def jkl(j, k, lam: float, span: tuple[int, int] | None = None) -> LossValue:
     k = _as_positive(k, "kernels")
     if len(k) != len(j) + 1:
         raise ValueError(f"need one kernel per boundary: {len(j)} pairs vs {len(k)} kernels")
-    lo, hi = (0, len(j)) if span is None else span
-    if not 0 <= lo < hi <= len(j):
-        raise ValueError(f"bad span {span} for {len(j)} pairs")
-    logj = np.log(j[lo:hi])
-    ratio = np.log(k[lo + 1:hi + 1] / k[lo:hi])
+    logj = np.log(j)
+    ratio = np.log(k[1:] / k[:-1])
     terms = (0.5 * logj ** 2 + 0.5 * lam * ratio ** 2).tolist()
-    dj = np.zeros_like(j)
-    dj[lo:hi] = logj / j[lo:hi]
     dk = np.zeros_like(k)
-    dk[lo + 1:hi + 1] += lam * ratio / k[lo + 1:hi + 1]
-    dk[lo:hi] -= lam * ratio / k[lo:hi]
-    return LossValue(math.fsum(terms), terms, dj, dk)
+    dk[1:] += lam * ratio / k[1:]
+    dk[:-1] -= lam * ratio / k[:-1]
+    return LossValue(math.fsum(terms), terms, logj / j, dk)
 
 
-def kernel_profile(acts: BatchActivations) -> np.ndarray:
+def kernel_profile(state: ForwardState) -> np.ndarray:
     """Empirical diagonal kernel per boundary: mean squared flattened activation."""
-    return np.array([float((a * a).mean()) for a in acts.boundaries])
+    return np.array([float((a * a).mean()) for a in state.boundaries])

@@ -26,7 +26,6 @@ from .apjn import estimate_segment, exact_apjn, scalar_gradient
 from .blocks import (
     OPS,
     AuxScalars,
-    ForwardState,
     NetworkSpec,
     ParamSet,
     resolve_aux_groups,
@@ -64,7 +63,6 @@ class TuneConfig:
     aux_groups: object = "default"     # see AuxScalars.ones
     span: str = "include-io"           # include-io | interior-only
     fresh_batch: bool = False
-    aux_clamp: tuple = AUX_CLAMP
 
     def __post_init__(self):
         if self.t_max < 1:
@@ -92,9 +90,6 @@ class TuneConfig:
             raise ValueError("lam must be >= 0")
         if self.bound_safety <= 0:
             raise ValueError("bound_safety must be > 0")
-        lo, hi = self.aux_clamp
-        if not 0 < lo < hi:
-            raise ValueError(f"aux_clamp needs 0 < lo < hi, got {self.aux_clamp}")
         resolve_aux_groups(self.aux_groups)
 
 
@@ -170,11 +165,11 @@ def _measure(spec, params, aux, batch, cfg: TuneConfig, pairs, rng: RngStream):
     js = np.empty(len(pairs))
     for n, l in enumerate(pairs):
         if cfg.n_v == 0:
-            js[n] = exact_apjn(spec, params, aux, batch, l, l + 1, state=state)
+            js[n] = exact_apjn(state, l, l + 1)
         else:
-            js[n], _, _ = estimate_segment(state, l, l + 1, cfg.n_v, rng.child(l),
-                                           probe_mode=cfg.probe_mode)
-    ks = kernel_profile(state.activations)[pairs[0]:pairs[-1] + 2]
+            js[n], _ = estimate_segment(state, l, l + 1, cfg.n_v, rng.child(l),
+                                        probe_mode=cfg.probe_mode)
+    ks = kernel_profile(state)[pairs[0]:pairs[-1] + 2]
     return state, js, ks
 
 
@@ -213,29 +208,28 @@ def _pair_weight_blocks(spec: NetworkSpec, pairs) -> dict[int, int]:
 
 
 def grad_aux(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Array,
-             cfg: TuneConfig, rng: RngStream, *, js: np.ndarray | None = None,
-             trace: TuneTrace | None = None, state: ForwardState | None = None) -> dict:
+             cfg: TuneConfig, rng: RngStream, *, measured: tuple | None = None,
+             trace: TuneTrace | None = None) -> dict:
     """Gradient of the configured loss w.r.t. every tunable scalar.
 
-    ``rng`` is the stream the norms are measured with; ``js`` and ``state``
-    may pass in that measurement's norms and forward state, which must
-    belong to ``aux`` and ``batch``. Exact mode differentiates the loss of
-    that measurement: the same probes, kernels and loss. Analytic mode uses
-    the ReLU closed form: the weight scalar of the block generating pair l
-    gets ``2 log(J_l) / a`` (times ``1 + lam`` for the kernel-augmented
-    loss at sigma_b = 0) and bias scalars get zero.
+    ``rng`` is the stream the norms are measured with; ``measured`` may
+    pass in that measurement, the ``(state, js, ks)`` triple of
+    :func:`_measure` on ``aux`` and ``batch``, which is otherwise taken
+    here. Exact mode differentiates the loss of that measurement: the same
+    probes, kernels and loss. Analytic mode uses the ReLU closed form: the
+    weight scalar of the block generating pair l gets ``2 log(J_l) / a``
+    (times ``1 + lam`` for the kernel-augmented loss at sigma_b = 0) and
+    bias scalars get zero.
     """
     pairs = _pair_list(spec, cfg.span)
-    if js is None:
-        state, js, _ = _measure(spec, params, aux, batch, cfg, pairs, rng)
+    if measured is None:
+        measured = _measure(spec, params, aux, batch, cfg, pairs, rng)
+    state, js, ks = measured
     if cfg.grad_mode == "analytic-relu":
         if not np.all(np.isfinite(js) & (js > 0)):
             raise DivergenceError("measured norms left the positive domain",
                                   trace or TuneTrace(pairs[0], aux.keys()))
         return _grad_analytic(spec, aux, cfg, pairs, js)
-    if state is None:
-        state = run_network(spec, params, aux, batch)
-    ks = kernel_profile(state.activations)[pairs[0]:pairs[-1] + 2]
     loss = _loss(cfg, js, ks)
     if loss is None:
         raise DivergenceError("loss non-finite", trace or TuneTrace(pairs[0], aux.keys()))
@@ -320,7 +314,7 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
 
     while t < cfg.t_max and loss > cfg.eps:
         grads = grad_aux(spec, params, aux, step_batch, cfg, step_rng,
-                         js=js, trace=trace, state=state)
+                         measured=(state, js, ks), trace=trace)
         if cfg.schedule == "constant":
             eta_used = cfg.eta
             rates = {key: cfg.eta for key in keys}
@@ -343,7 +337,7 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
                 rates[key] = per_pair.get(block_of.get(i, -1), 0.0)
             eta_used = min(per_pair.values())
         new_vals = {key: aux.get(*key) - rates[key] * grads.get(key, 0.0) for key in keys}
-        aux = AuxScalars(new_vals).clamped(*cfg.aux_clamp)
+        aux = AuxScalars(new_vals).clamped(*AUX_CLAMP)
         t += 1
         state = None  # hold one forward state at a time
         step_batch, step_rng, state, js, ks = measure(t, aux)

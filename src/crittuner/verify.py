@@ -155,8 +155,7 @@ def convergence_band(seed: int = 0, *, width=500, depth=10, batch=4, steps=980,
         params = init_params(spec, rng.child(2))
         aux = AuxScalars.ones(spec)
         state = run_network(spec, params, aux, x)
-        j0 = np.array([exact_apjn(spec, params, aux, x, l, l + 1, state=state)
-                       for l in range(spec.n_boundaries - 1)])
+        j0 = np.array([exact_apjn(state, l, l + 1) for l in range(spec.n_boundaries - 1)])
         for eta in etas:
             pred = _oracle_converged(j0, sw, eta, steps, "jll", band)
             cfg = TuneConfig(loss="jll", eta=eta, t_max=steps, n_v=n_v,
@@ -213,8 +212,8 @@ def _bn_apjn(sigma_w, sigma_b, mu, *, depth, width, batch, n_v, seeds, seed0):
         params = init_params(spec, rng.child(2))
         aux = AuxScalars.ones(spec)
         state = run_network(spec, params, aux, x)
-        v, _, _ = estimate_segment(state, depth, depth + 1, n_v, rng.child(3),
-                                   probe_mode="input")
+        v, _ = estimate_segment(state, depth, depth + 1, n_v, rng.child(3),
+                                probe_mode="input")
         vals.append(v)
     return float(np.mean(vals))
 
@@ -265,8 +264,8 @@ def bn_batch_saturation(seed: int = 0, *, depth=30, width=500, n_v=16, seeds=10,
         aux = AuxScalars.ones(spec)
         for b in sizes:
             state = run_network(spec, params, aux, x_full[:b])
-            v, _, _ = estimate_segment(state, depth, depth + 1, n_v, rng.child(3),
-                                       probe_mode="input")
+            v, _ = estimate_segment(state, depth, depth + 1, n_v, rng.child(3),
+                                    probe_mode="input")
             sums[b] += v
     js = {b: sums[b] / seeds for b in sizes}
     gap = abs(js[128] - js[256]) / js[256]
@@ -300,8 +299,7 @@ def resmlp_closed_form(seed: int = 0, *, dim=64, n_blocks=3, batch=2, samples=20
                     for s in range(samples):
                         params = init_params(spec, rng.child(100 + s))
                         state = run_network(spec, params, aux, x)
-                        js.append(exact_apjn(spec, params, aux, x, n_blocks,
-                                             n_blocks + 1, state=state))
+                        js.append(exact_apjn(state, n_blocks, n_blocks + 1))
                         k0s.append(float((state.boundary(1) ** 2).mean()))
                     k = float(np.mean(k0s))
                     for _ in range(n_blocks - 1):
@@ -327,10 +325,10 @@ def estimator_unbiasedness(seed: int = 0, *, width=64, depth=4, batch=8,
     params = init_params(spec, rng.child(2))
     aux = AuxScalars.ones(spec)
     state = run_network(spec, params, aux, x)
-    exact = exact_apjn(spec, params, aux, x, 1, 2, state=state)
-    est, err, _ = estimate_segment(state, 1, 2, n_v, rng.child(3), probe_mode="output")
+    exact = exact_apjn(state, 1, 2)
+    est, err = estimate_segment(state, 1, 2, n_v, rng.child(3), probe_mode="output")
     gap_ok = abs(est - exact) <= 3 * err
-    _, e_small, _ = estimate_segment(state, 1, 2, n_v // 4, rng.child(4), probe_mode="output")
+    _, e_small = estimate_segment(state, 1, 2, n_v // 4, rng.child(4), probe_mode="output")
     ratio = e_small / err
     scaling_ok = 2.0 * 0.8 <= ratio <= 2.0 * 1.2
     return VerifyResult(
@@ -355,7 +353,7 @@ def factorization(seed: int = 0, *, widths=(100, 300, 1000), depth=3, batch=4,
             x = gaussian_batch(spec.input_shape, batch, rng.child(1))
             params = init_params(spec, rng.child(2))
             aux = AuxScalars.ones(spec)
-            res.append(factorization_residual(spec, params, aux, x, 0))
+            res.append(factorization_residual(run_network(spec, params, aux, x), 0))
         medians[w] = float(np.median(res))
     ordered = [medians[w] for w in sorted(widths)]
     decreasing = all(a > b for a, b in zip(ordered, ordered[1:]))

@@ -7,7 +7,6 @@ from crittuner.apjn import (
     ResourceBudgetError,
     _basis,
     apjn_profile,
-    estimate_apjn,
     estimate_segment,
     exact_apjn,
     factorization_residual,
@@ -24,6 +23,8 @@ from crittuner.blocks import (
     run_network,
     vjp_segment,
 )
+from crittuner.config import DataConfig
+from crittuner.data import make_batch
 from crittuner.presets import conv_bn_relu_stack, linear_mlp, mlp, prebn_residual_mlp, relu_mlp
 from crittuner.tensor import RngStream
 
@@ -37,13 +38,17 @@ def _mlp_setup(spec, seed, batch):
     return x, params, AuxScalars.ones(spec), rng
 
 
+def _state(spec, seed, batch):
+    x, params, aux, rng = _mlp_setup(spec, seed, batch)
+    return run_network(spec, params, aux, x), rng
+
+
 def test_linear_dense_mean_is_sigma_sq():
     # E ||W||_F^2 / N = sigma_w^2 for fan_in = fan_out = N
     spec = linear_mlp(1, 200, 1.7)
     vals = []
     for s in range(50):
-        x, params, aux, _ = _mlp_setup(spec, 100 + s, 2)
-        vals.append(exact_apjn(spec, params, aux, x, 0, 1))
+        vals.append(exact_apjn(_state(spec, 100 + s, 2)[0], 0, 1))
     assert abs(np.mean(vals) / 1.7 ** 2 - 1.0) < 0.05
 
 
@@ -51,49 +56,42 @@ def test_relu_dense_at_sqrt2_is_one():
     spec = relu_mlp(1, 500, SQRT2)
     vals = []
     for s in range(20):
-        x, params, aux, _ = _mlp_setup(spec, 200 + s, 8)
-        vals.append(exact_apjn(spec, params, aux, x, 0, 1))
+        vals.append(exact_apjn(_state(spec, 200 + s, 8)[0], 0, 1))
     assert abs(np.mean(vals) - 1.0) < 0.03
 
 
 def test_identity_segment_is_exactly_one():
     spec = NetworkSpec((activation("linear", boundary=True),), (32,))
-    x, params, aux, _ = _mlp_setup(spec, 3, 4)
-    assert exact_apjn(spec, params, aux, x, 0, 1) == pytest.approx(1.0, abs=1e-14)
+    assert exact_apjn(_state(spec, 3, 4)[0], 0, 1) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_identity_probe_terms_are_chi_square():
     n, n_v = 64, 200
     spec = NetworkSpec((activation("linear", boundary=True),), (n,))
-    x, params, aux, rng = _mlp_setup(spec, 4, 5)
-    state = run_network(spec, params, aux, x)
-    value, stderr, terms = estimate_segment(state, 0, 1, n_v, rng.child(3),
-                                            probe_mode="output")
-    # each term is ||v||^2 / n for its probe vector
-    assert np.all(terms > 0)
+    state, rng = _state(spec, 4, 5)
+    # each probe's term is ||v||^2 / n for its probe vector
+    value, stderr = estimate_segment(state, 0, 1, n_v, rng.child(3), probe_mode="output")
     assert abs(value - 1.0) < 5 * np.sqrt(2.0 / (n * n_v))
     assert abs(stderr / np.sqrt(2.0 / (n * n_v)) - 1.0) < 0.4
 
 
 def test_estimator_unbiased_against_exact():
     spec = relu_mlp(3, 64, SQRT2, 0.3)
-    x, params, aux, rng = _mlp_setup(spec, 5, 8)
-    state = run_network(spec, params, aux, x)
-    exact = exact_apjn(spec, params, aux, x, 1, 2, state=state)
+    state, rng = _state(spec, 5, 8)
+    exact = exact_apjn(state, 1, 2)
     for mode in ("output", "input"):
         stream = rng.child(zlib.crc32(mode.encode()) % 100)
-        val, err, _ = estimate_segment(state, 1, 2, 800, stream, probe_mode=mode)
+        val, err = estimate_segment(state, 1, 2, 800, stream, probe_mode=mode)
         assert abs(val - exact) <= 3 * err, mode
 
 
 def test_estimator_stderr_scaling():
     spec = relu_mlp(2, 64, SQRT2)
-    x, params, aux, rng = _mlp_setup(spec, 6, 8)
-    state = run_network(spec, params, aux, x)
+    state, rng = _state(spec, 6, 8)
     e50, e100 = [], []
     for rep in range(30):
-        _, s50, _ = estimate_segment(state, 0, 1, 50, rng.child(2 * rep))
-        _, s100, _ = estimate_segment(state, 0, 1, 100, rng.child(2 * rep + 1))
+        _, s50 = estimate_segment(state, 0, 1, 50, rng.child(2 * rep))
+        _, s100 = estimate_segment(state, 0, 1, 100, rng.child(2 * rep + 1))
         e50.append(s50)
         e100.append(s100)
     ratio = np.mean(e50) / np.mean(e100)
@@ -102,9 +100,9 @@ def test_estimator_stderr_scaling():
 
 def test_estimate_requires_probes():
     spec = relu_mlp(1, 8, 1.0)
-    x, params, aux, rng = _mlp_setup(spec, 7, 2)
+    state, rng = _state(spec, 7, 2)
     with pytest.raises(ValueError):
-        estimate_apjn(spec, params, aux, x, 0, 0, rng)
+        estimate_segment(state, 0, 1, 0, rng)
 
 
 def test_no_batchnorm_batch_independence():
@@ -116,7 +114,7 @@ def test_no_batchnorm_batch_independence():
         aux = AuxScalars.ones(spec)
         for b in vals:
             x = rng.child(b).normal((b, 300))
-            vals[b].append(exact_apjn(spec, params, aux, x, 1, 2))
+            vals[b].append(exact_apjn(run_network(spec, params, aux, x), 1, 2))
     m1, m8 = np.mean(vals[1]), np.mean(vals[8])
     assert abs(m1 - m8) < 0.05
 
@@ -129,28 +127,45 @@ def test_permutation_invariance():
     p2[2]["W"] = params[2]["W"][perm]          # permute boundary-2 neurons
     p2[2]["b"] = params[2]["b"][perm]
     p2[4]["W"] = params[4]["W"][:, perm]
+    state, state2 = run_network(spec, params, aux, x), run_network(spec, p2, aux, x)
     for (l0, l1) in [(0, 1), (1, 2), (2, 3), (0, 3)]:
-        a = exact_apjn(spec, params, aux, x, l0, l1)
-        b = exact_apjn(spec, p2, aux, x, l0, l1)
+        a = exact_apjn(state, l0, l1)
+        b = exact_apjn(state2, l0, l1)
         assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_budget_error_advises_estimator():
     spec = prebn_residual_mlp(2, 64, 1.0)
-    x, params, aux, _ = _mlp_setup(spec, 10, 16)
-    with pytest.raises(ResourceBudgetError, match="estimate"):
-        exact_apjn(spec, params, aux, x, 0, 1, max_entries=1000)
+    state, _ = _state(spec, 10, 16)
+    with pytest.raises(ResourceBudgetError, match="estimate_segment"):
+        exact_apjn(state, 0, 1, max_entries=1000)
+
+
+def test_non_finite_boundaries_measure_nan():
+    # sigma_w = 1e6 overflows the float64 range about halfway up the stack;
+    # the ReLU mask reads NaN as inactive, so a sweep there would give 0.0
+    blocks = sum(((dense(20, 1e6), activation("relu", boundary=True)) for _ in range(60)), ())
+    spec = NetworkSpec(blocks, (20,))
+    rng = RngStream(3)
+    x = make_batch(DataConfig(batch=4), spec.input_shape, rng.child(1))
+    with np.errstate(all="ignore"):
+        state = run_network(spec, init_params(spec, rng.child(2)), AuxScalars.ones(spec), x)
+        exact = [exact_apjn(state, l, l + 1) for l in range(60)]
+        estimated = [estimate_segment(state, l, l + 1, 2, rng.child(3 + l)) for l in range(60)]
+    assert np.all(np.isfinite(exact[:52]))
+    assert np.all(np.isnan(exact[52:]))
+    assert np.all(np.isfinite(estimated[:52]))
+    assert np.all(np.isnan(estimated[52:]))
 
 
 def test_exact_handles_batchnorm_cross_terms():
     # small enough to fit the budget: estimator must agree with exact
     spec = prebn_residual_mlp(2, 10, 1.2, 0.4, mu=0.5)
-    x, params, aux, rng = _mlp_setup(spec, 11, 6)
-    state = run_network(spec, params, aux, x)
-    exact = exact_apjn(spec, params, aux, x, 0, 1, state=state)
-    val, err, _ = estimate_segment(state, 0, 1, 3000, rng.child(1), probe_mode="input")
+    state, rng = _state(spec, 11, 6)
+    exact = exact_apjn(state, 0, 1)
+    val, err = estimate_segment(state, 0, 1, 3000, rng.child(1), probe_mode="input")
     assert abs(val - exact) <= 3 * err
-    val2, err2, _ = estimate_segment(state, 0, 1, 400, rng.child(2), probe_mode="output")
+    val2, err2 = estimate_segment(state, 0, 1, 400, rng.child(2), probe_mode="output")
     assert abs(val2 - exact) <= 3 * err2
 
 
@@ -201,13 +216,13 @@ def test_factorization_exact_for_deterministic_identity():
     for i in (0, 2, 4):
         params[i]["W"] = np.eye(6)
         params[i]["b"][:] = 0.0
-    assert factorization_residual(spec, params, aux, x, 0) == pytest.approx(0.0, abs=1e-14)
+    state = run_network(spec, params, aux, x)
+    assert factorization_residual(state, 0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_factorization_small_at_width():
     spec = relu_mlp(3, 400, SQRT2)
-    x, params, aux, _ = _mlp_setup(spec, 16, 4)
-    assert factorization_residual(spec, params, aux, x, 0) < 0.08
+    assert factorization_residual(_state(spec, 16, 4)[0], 0) < 0.08
 
 
 def _eye_sweep_apjn(state, l0, l1):
@@ -240,13 +255,13 @@ def _bit_identity_state(spec, batch):
     for n, key in enumerate(aux.keys()):
         aux.values[key] = 0.8 + 0.07 * n   # exercise non-unit scalars
     x = rng.child(2).normal((batch, *spec.input_shape))
-    return spec, params, aux, x, run_network(spec, params, aux, x)
+    return run_network(spec, params, aux, x)
 
 
-def _assert_bit_identical(spec, params, aux, x, state, starts):
+def _assert_bit_identical(state, starts):
     for (l0, l1), start in starts.items():
         assert _basis(state, l0, l1, through_first=True)[1] == start, (l0, l1)
-        got = exact_apjn(spec, params, aux, x, l0, l1, state=state)
+        got = exact_apjn(state, l0, l1)
         assert got == _eye_sweep_apjn(state, l0, l1), (l0, l1)
 
 
@@ -256,7 +271,7 @@ def _assert_bit_identical(spec, params, aux, x, state, starts):
 def test_exact_dense_first_bases_are_bit_identical(act, width, batch):
     # the dense block's weight rows stand in for its JVP of the identity
     spec = mlp(2, width, 1.3, 0.3, act=act)
-    _assert_bit_identical(*_bit_identity_state(spec, batch),
+    _assert_bit_identical(_bit_identity_state(spec, batch),
                           {(0, 1): 1, (1, 2): 1, (0, 2): 1})
 
 
@@ -280,4 +295,4 @@ OTHER_SEGMENTS = {
 @pytest.mark.parametrize("name", sorted(OTHER_SEGMENTS))
 def test_exact_bases_of_other_segments_are_bit_identical(name):
     spec, starts = OTHER_SEGMENTS[name]
-    _assert_bit_identical(*_bit_identity_state(spec, 4), starts)
+    _assert_bit_identical(_bit_identity_state(spec, 4), starts)

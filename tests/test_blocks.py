@@ -12,7 +12,6 @@ from crittuner.blocks import (
     conv2d,
     dense,
     flatten_block,
-    forward,
     gelu,
     init_params,
     layer_scale,
@@ -74,14 +73,14 @@ def test_forward_identity_dense_injection():
     params[0]["W"] = np.eye(6)
     params[0]["b"][:] = 0.0
     x = RngStream(1).normal((3, 6))
-    acts = forward(spec, params, AuxScalars.ones(spec), x)
+    acts = run_network(spec, params, AuxScalars.ones(spec), x)
     assert np.allclose(acts.boundaries[-1], x)
 
 
 def test_relu_values_and_zero_derivative_convention():
     spec = NetworkSpec((activation("relu", boundary=True),), (3,))
-    acts = forward(spec, init_params(spec, RngStream(0)), AuxScalars.ones(spec),
-                   np.array([[-1.0, 2.0, 0.0]]))
+    acts = run_network(spec, init_params(spec, RngStream(0)), AuxScalars.ones(spec),
+                       np.array([[-1.0, 2.0, 0.0]]))
     assert np.array_equal(acts.boundaries[-1], np.array([[0.0, 2.0, 0.0]]))
 
 
@@ -99,28 +98,28 @@ def test_gelu_exact_values():
 def test_batchnorm_statistics():
     spec = NetworkSpec((batchnorm(boundary=True),), (40,))
     x = RngStream(5).normal((16, 40), 3.0, 2.5)
-    acts = forward(spec, init_params(spec, RngStream(0)), AuxScalars.ones(spec), x)
+    acts = run_network(spec, init_params(spec, RngStream(0)), AuxScalars.ones(spec), x)
     y = acts.boundaries[-1]
     assert np.max(np.abs(y.mean(axis=0))) < 1e-12
     assert np.max(np.abs(y.var(axis=0) - 1.0)) < 1e-4  # eps-shifted variance
     spec0 = NetworkSpec((batchnorm(eps=0.0, boundary=True),), (40,))
-    y0 = forward(spec0, init_params(spec0, RngStream(0)), AuxScalars.ones(spec0),
-                 x).boundaries[-1]
+    y0 = run_network(spec0, init_params(spec0, RngStream(0)), AuxScalars.ones(spec0),
+                     x).boundaries[-1]
     assert np.max(np.abs(y0.var(axis=0) - 1.0)) < 1e-10
 
 
 def test_batchnorm_needs_two_samples():
     spec = NetworkSpec((batchnorm(),), (4,))
     with pytest.raises(ValueError):
-        forward(spec, init_params(spec, RngStream(0)), AuxScalars.ones(spec),
-                np.ones((1, 4)))
+        run_network(spec, init_params(spec, RngStream(0)), AuxScalars.ones(spec),
+                    np.ones((1, 4)))
 
 
 def test_batch_shape_mismatch_rejected():
     spec = relu_mlp(1, 4, 1.0)
     with pytest.raises(ValueError):
-        forward(spec, init_params(spec, RngStream(0)), AuxScalars.ones(spec),
-                np.ones((2, 5)))
+        run_network(spec, init_params(spec, RngStream(0)), AuxScalars.ones(spec),
+                    np.ones((2, 5)))
 
 
 def test_pure_skip_path_is_identity():
@@ -131,7 +130,7 @@ def test_pure_skip_path_is_identity():
     for (i, g) in aux.keys():
         aux.values[(i, g)] = 1e-300
     x = RngStream(2).normal((4, 12))
-    acts = forward(spec, params, aux, x)
+    acts = run_network(spec, params, aux, x)
     assert np.allclose(acts.boundaries[-1], x.reshape(4, -1), atol=1e-290)
 
 
@@ -142,8 +141,8 @@ def test_twin_equivalence_bit_exact():
     for n, key in enumerate(aux.keys()):
         aux.values[key] = 0.5 + 0.1 * n
     x = RngStream(8).normal((3, 3, 8, 8))
-    a = forward(spec, params, aux, x)
-    b = forward(spec, scale_params(spec, params, aux), AuxScalars.ones(spec, "all"), x)
+    a = run_network(spec, params, aux, x)
+    b = run_network(spec, scale_params(spec, params, aux), AuxScalars.ones(spec, "all"), x)
     for ba, bb in zip(a.boundaries, b.boundaries):
         assert np.array_equal(ba, bb)
 
@@ -153,11 +152,11 @@ def test_relu_homogeneity():
     spec = relu_mlp(3, 20, 1.2)
     params = init_params(spec, RngStream(11))
     x = RngStream(12).normal((5, 20))
-    base = forward(spec, params, AuxScalars.ones(spec), x)
+    base = run_network(spec, params, AuxScalars.ones(spec), x)
     aux = AuxScalars.ones(spec)
     c = 3.7
     aux.values[(2, "W")] = c  # second dense block
-    scaled = forward(spec, params, aux, x)
+    scaled = run_network(spec, params, aux, x)
     assert np.allclose(scaled.boundaries[1], base.boundaries[1], rtol=1e-12)
     for b in (2, 3):
         assert np.allclose(scaled.boundaries[b], c * base.boundaries[b], rtol=1e-12)
@@ -175,7 +174,7 @@ def test_resmlp_block_identity_at_zero_scale_unit_skip():
     spec = resmlp_toy(2, 8, 1.0, mu=1.0, eps_ls=0.0, image=(3, 8, 8), patch=4)
     params = init_params(spec, RngStream(4))
     x = RngStream(5).normal((2, 3, 8, 8))
-    acts = forward(spec, params, AuxScalars.ones(spec), x)
+    acts = run_network(spec, params, AuxScalars.ones(spec), x)
     # embeddings (boundary 1) pass through both blocks untouched
     assert np.allclose(acts.boundaries[2], acts.boundaries[1], atol=1e-15)
     assert np.allclose(acts.boundaries[3], acts.boundaries[1], atol=1e-15)
@@ -191,7 +190,7 @@ def test_normalize_unit_second_moment():
 def test_boundary_count_matches_depth():
     spec = prebn_residual_mlp(5, 8, 1.0)
     x = RngStream(0).normal((3, 8))
-    acts = forward(spec, init_params(spec, RngStream(1)), AuxScalars.ones(spec), x)
+    acts = run_network(spec, init_params(spec, RngStream(1)), AuxScalars.ones(spec), x)
     assert len(acts.boundaries) == spec.L + 2 == 6
 
 
@@ -205,7 +204,7 @@ def test_conv_and_pool_shapes():
     assert spec.boundary_shape(2) == (6, 3, 3)
     assert spec.boundary_shape(3) == (6,)
     x = RngStream(1).normal((3, 2, 8, 8))
-    acts = forward(spec, init_params(spec, RngStream(2)), AuxScalars.ones(spec), x)
+    acts = run_network(spec, init_params(spec, RngStream(2)), AuxScalars.ones(spec), x)
     assert acts.boundaries[-1].shape == (3, 6)
 
 

@@ -123,7 +123,7 @@ def test_measure_non_finite_exit_code(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert len(doc["apjn"]) == 60
     assert not np.isfinite(doc["kernels"][-1]["value"])
-    assert capsys.readouterr().err.startswith("divergence: kernel at boundary 27 is inf")
+    assert capsys.readouterr().err.startswith("divergence: norm of pair (52, 53) is nan")
 
 
 def test_measure_scan_marks_non_finite_point_diverged(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crittuner.blocks import AuxScalars, init_params, forward
+from crittuner.blocks import AuxScalars, init_params, run_network
 from crittuner.losses import jkl, jll, jsl, kernel_profile
 from crittuner.presets import relu_mlp
 from crittuner.tensor import RngStream
@@ -36,14 +36,6 @@ def test_jkl_values():
         jkl([1.0], [1.0, -1.0], 0.5)
     with pytest.raises(ValueError):
         jkl([1.0], [1.0], 0.5)   # kernel count must be pairs + 1
-
-
-def test_jkl_span_selection():
-    js = [2.0, 3.0, 4.0]
-    ks = [1.0, 2.0, 6.0, 24.0]
-    full = jkl(js, ks, 1.0).total
-    inner = jkl(js, ks, 1.0, span=(1, 3)).total
-    assert inner == pytest.approx(full - (0.5 * math.log(2.0) ** 2) * 2, rel=1e-12)
 
 
 def test_total_is_sum_of_terms():
@@ -79,8 +71,8 @@ def test_kernel_profile_matches_definition():
     spec = relu_mlp(3, 20, 1.0)
     rng = RngStream(2)
     x = rng.child(1).normal((6, 20))
-    acts = forward(spec, init_params(spec, rng.child(2)), AuxScalars.ones(spec), x)
-    ks = kernel_profile(acts)
+    state = run_network(spec, init_params(spec, rng.child(2)), AuxScalars.ones(spec), x)
+    ks = kernel_profile(state)
     assert len(ks) == 4
     assert ks[0] == pytest.approx(float((x * x).mean()), rel=1e-12)
     assert np.all(ks >= 0)
@@ -91,7 +83,6 @@ def test_loss_partials_match_central_differences():
     js = np.exp(rng.normal(4, 0.0, 0.5))
     ks = np.exp(rng.normal(5, 0.0, 0.5))
     cases = [(jll, (js,), 0), (jsl, (js,), 0), (lambda j, k: jkl(j, k, 0.7), (js, ks), 0),
-             (lambda j, k: jkl(j, k, 0.7, span=(1, 3)), (js, ks), 0),
              (lambda j, k: jkl(j, k, 0.7), (js, ks), 1)]
     h = 1e-6
     for fn, args, slot in cases:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crittuner.apjn import exact_apjn
-from crittuner.blocks import AuxScalars, forward, init_params, run_network, vjp_segment
+from crittuner.blocks import AuxScalars, init_params, run_network, vjp_segment
 from crittuner.presets import linear_mlp, relu_mlp
 from crittuner.tensor import RngStream
 from crittuner.tuner import (
@@ -114,8 +114,7 @@ def test_jsl_analytic_gradient():
     aux = AuxScalars.ones(spec, groups={"W"})
     cfg = TuneConfig(loss="jsl", eta=0.1, n_v=0, grad_mode="analytic-relu")
     grads = grad_aux(spec, params, aux, x, cfg, rng.child(2))
-    state = run_network(spec, params, aux, x)
-    j0 = exact_apjn(spec, params, aux, x, 0, 1, state=state)
+    j0 = exact_apjn(run_network(spec, params, aux, x), 0, 1)
     assert grads[(0, "W")] == pytest.approx(2.0 * j0 * (j0 - 1.0), rel=1e-10)
 
 
@@ -132,9 +131,6 @@ def test_config_rejects_unknown_probe_mode_and_aux_groups():
     for safety in (0.0, -0.5):
         with pytest.raises(ValueError, match="bound_safety"):
             TuneConfig(eta=0.1, bound_safety=safety)
-    for clamp in ((0.0, 1.0), (-1.0, 1.0), (2.0, 2.0), (3.0, 1.0)):
-        with pytest.raises(ValueError, match="aux_clamp"):
-            TuneConfig(eta=0.1, aux_clamp=clamp)
     with pytest.raises(ValueError, match="grad mode"):
         TuneConfig(eta=0.1, grad_mode="finite-difference")
 
@@ -204,8 +200,8 @@ def test_return_mode_equivalence():
                      rng.child(3))
     res_freeze = tune(spec, params, x, TuneConfig(**base, return_mode="freeze-aux"),
                       rng.child(3))
-    a = forward(res_scale.spec, res_scale.params, res_scale.aux, x)
-    b = forward(res_freeze.spec, res_freeze.params, res_freeze.aux, x)
+    a = run_network(res_scale.spec, res_scale.params, res_scale.aux, x)
+    b = run_network(res_freeze.spec, res_freeze.params, res_freeze.aux, x)
     for ba, bb in zip(a.boundaries, b.boundaries):
         assert np.allclose(ba, bb, rtol=1e-12)
     # and the scaled spec's sigmas reflect the tuned scalars
@@ -218,10 +214,10 @@ def test_layer_independence_relu():
     x, params, rng = _setup(spec, 12, 8)
     aux = AuxScalars.ones(spec)
     state = run_network(spec, params, aux, x)
-    before = [exact_apjn(spec, params, aux, x, l, l + 1, state=state) for l in range(4)]
+    before = [exact_apjn(state, l, l + 1) for l in range(4)]
     aux.values[(2, "W")] = 0.5   # rescale only the second pair's weights
     state2 = run_network(spec, params, aux, x)
-    after = [exact_apjn(spec, params, aux, x, l, l + 1, state=state2) for l in range(4)]
+    after = [exact_apjn(state2, l, l + 1) for l in range(4)]
     assert after[1] == pytest.approx(0.25 * before[1], rel=1e-12)
     for l in (0, 2, 3):
         assert after[l] == pytest.approx(before[l], rel=1e-12)
