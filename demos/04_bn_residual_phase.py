@@ -38,8 +38,7 @@ def measure(sigma_w, sigma_b, mu):
         x = gaussian_batch(spec.input_shape, BATCH, rng.child(1))
         params = init_params(spec, rng.child(2))
         state = run_network(spec, params, AuxScalars.ones(spec), x)
-        v, _ = estimate_segment(state, DEPTH, DEPTH + 1, PROBES, rng.child(3),
-                                probe_mode="input")
+        v, _ = estimate_segment(state, DEPTH, DEPTH + 1, PROBES, rng.child(3))
         vals.append(v)
     return float(np.mean(vals))
 

@@ -26,12 +26,5 @@ exact = exact_apjn(state, 1, 2)
 print(f"exact J(1,2) = {exact:.6f}\n")
 print(f"{'N_v':>6} {'estimate':>10} {'stderr':>9} {'|error|/stderr':>15}")
 for n_v in (4, 16, 64, 256, 1024):
-    val, err = estimate_segment(state, 1, 2, n_v, rng.child(n_v), probe_mode="output")
+    val, err = estimate_segment(state, 1, 2, n_v, rng.child(n_v))
     print(f"{n_v:6d} {val:10.6f} {err:9.6f} {abs(val - exact) / err:15.2f}")
-
-print("\nSame estimator, probing the input side (one sweep per probe even"
-      "\nwhen normalization couples the batch):")
-for n_v in (16, 256):
-    val, err = estimate_segment(state, 1, 2, n_v, rng.child(5000 + n_v),
-                                probe_mode="input")
-    print(f"{n_v:6d} {val:10.6f} {err:9.6f}")

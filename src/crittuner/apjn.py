@@ -4,15 +4,18 @@ The observable is the squared Frobenius norm of the Jacobian of one
 flattened boundary activation with respect to an earlier one, normalized by
 batch size and output width, and read off the caller's
 :class:`~crittuner.blocks.ForwardState`: only ``apjn_profile``, which draws
-the parameters it averages over, runs forward passes. ``exact_apjn``
-accumulates it from basis tangents (forward columns or reverse rows,
-whichever side is narrower); a forward basis that enters through a dense
-block starts from its weight rows, which are that block's image of the
-identity bit for bit. ``estimate_segment`` is the unbiased Monte-Carlo
-version driven by Gaussian probe vectors, one JVP/VJP sweep per probe.
-``scalar_gradient`` is the exact gradient of either, with its probes, in
-the twin network's scalars. A pair with a non-finite boundary activation
-measures NaN, since a ReLU mask would read NaN as inactive.
+the parameters it averages over, runs forward passes (and reports the
+boundary kernels of its first draw). ``exact_apjn`` accumulates it from
+basis tangents (forward columns or reverse rows, whichever side is
+narrower); a forward basis that enters through a dense block starts from
+its weight rows, which are that block's image of the identity bit for bit.
+``estimate_segment`` is the unbiased Monte-Carlo version driven by Gaussian
+probe vectors, one sweep per probe: rows on the upper boundary pulled back,
+or, where batch norm couples the segment, tangents on the lower boundary
+pushed forward. ``scalar_gradient`` is the exact gradient of either, with
+the same basis or probes, in the twin network's scalars. A pair with a
+non-finite boundary activation measures NaN, since a ReLU mask would read
+NaN as inactive.
 
 Networks without batch normalization have batch-block-diagonal Jacobians,
 so both paths collapse the batch index and a single broadcast basis covers
@@ -41,6 +44,7 @@ from .blocks import (
     segment_inputs,
     vjp_segment,
 )
+from .losses import kernel_profile
 from .tensor import Array, RngStream
 
 DEFAULT_MAX_ENTRIES = int(2e8)
@@ -66,6 +70,7 @@ class ApjnPair:
 @dataclass
 class ApjnReport:
     pairs: list
+    kernels: np.ndarray       # boundary kernels of parameter draw 0
 
     CSV_HEADER = "l0,l,value,stderr,method,N_v,batch,samples"
 
@@ -107,21 +112,20 @@ def _row_stacks(rows: Callable[[Array], Array], n: int, bsz: int,
             yield np.broadcast_to(chunk[:, None, :], (idx.size, bsz, chunk.shape[1])).copy()
 
 
-def _basis(state: ForwardState, l0: int, l1: int,
-           through_first: bool = False) -> tuple[bool, int, Iterator[Array]]:
+def _basis(state: ForwardState, l0: int, l1: int) -> tuple[bool, int, Iterator[Array]]:
     """Identity basis of the narrower side of the (l0, l1) segment, as
     tangent stacks: the sweep direction (True: forward), how many of the
     segment's blocks the stacks have already passed, and the stacks.
 
-    With ``through_first``, a forward basis whose first block has
-    ``basis_rows`` is built from those rows and enters after that block.
+    A forward basis whose first block has ``basis_rows`` is built from those
+    rows and enters after that block.
     """
     spec = state.spec
     d0, d1 = spec.boundary_dim(l0), spec.boundary_dim(l1)
     forward = d0 <= d1
     n = d0 if forward else d1
     rows, start = partial(_unit_rows, n), 0
-    if forward and through_first:
+    if forward:
         i = spec.segment(l0, l1)[0]
         blk = spec.blocks[i]
         image = OPS[blk.kind].basis_rows(blk, state.caches[i], n)
@@ -131,31 +135,28 @@ def _basis(state: ForwardState, l0: int, l1: int,
     return forward, start, stacks
 
 
-def _probes(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngStream | None,
-            probe_mode: str) -> tuple[bool, Iterable[Iterable[Array]]]:
-    """Sweep direction (True: forward) and, per probe, its tangent stacks.
+def _probes(state: ForwardState, l0: int, l1: int, n_v: int,
+            rng: RngStream | None) -> tuple[bool, int, Iterable[Iterable[Array]]]:
+    """Sweep direction (True: forward), the block the sweeps enter at, and,
+    per probe, its tangent stacks.
 
-    ``n_v = 0`` gives one probe, the basis of the narrower side. Otherwise
-    each of the ``n_v`` probes is a fresh draw from ``rng``, taken lazily in
-    probe order: "output" probes are a Gaussian row on the upper boundary,
-    "input" probes a Gaussian tangent on the lower one.
+    ``n_v = 0`` gives one probe, the basis of the narrower side
+    (:func:`_basis`). Otherwise each of the ``n_v`` probes is a fresh draw
+    from ``rng``, taken lazily in probe order: a Gaussian tangent on the
+    lower boundary, pushed forward, where batch norm couples the segment
+    (one sweep per probe, where an upper-boundary row would need one per
+    sample); elsewhere a Gaussian row on the upper boundary, pulled back.
     """
     if n_v == 0:
-        forward, _, stacks = _basis(state, l0, l1)
-        return forward, [stacks]
+        forward, start, stacks = _basis(state, l0, l1)
+        return forward, start, [stacks]
     spec = state.spec
     d0, d1 = spec.boundary_dim(l0), spec.boundary_dim(l1)
     bsz = state.batch_size
-    coupled = spec.segment_has_batchnorm(l0, l1)
-    mode = probe_mode
-    if mode == "auto":
-        mode = "input" if coupled else "output"
-    if mode == "output":
-        return False, (_row_stacks(rng.normal(d1)[None].__getitem__, 1, bsz, coupled)
-                       for _ in range(n_v))
-    if mode == "input":
-        return True, ([rng.normal((1, bsz, d0))] for _ in range(n_v))
-    raise ValueError(f"unknown probe mode {probe_mode!r}")
+    if spec.segment_has_batchnorm(l0, l1):
+        return True, 0, ([rng.normal((1, bsz, d0))] for _ in range(n_v))
+    return False, 0, (_row_stacks(rng.normal(d1)[None].__getitem__, 1, bsz, False)
+                      for _ in range(n_v))
 
 
 def _sweep_ssq(state: ForwardState, l0: int, l1: int, stacks: Iterable[Array],
@@ -200,28 +201,27 @@ def exact_apjn(state: ForwardState, l0: int, l1: int, *,
             f"use estimate_segment instead")
     if not _finite_ends(state, l0, l1):
         return float("nan")
-    forward, start, basis = _basis(state, l0, l1, through_first=True)
+    forward, start, basis = _basis(state, l0, l1)
     norm = state.batch_size * state.spec.boundary_dim(l1)
     return _sweep_ssq(state, l0, l1, basis, forward, start) / norm
 
 
-def estimate_segment(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngStream,
-                     *, probe_mode: str = "auto") -> tuple[float, float]:
+def estimate_segment(state: ForwardState, l0: int, l1: int, n_v: int,
+                     rng: RngStream) -> tuple[float, float]:
     """Probe-vector estimate of the (l0, l1) norm of the forward pass
     ``state``; returns (value, stderr), both NaN when either boundary
     activation is non-finite (stderr is also NaN for a single probe).
 
-    "output" probes contract a fresh unit Gaussian vector with the upper
-    boundary and pull it back; "input" probes push a Gaussian tangent
-    forward instead, which costs one sweep per probe even across batch
-    normalization. "auto" picks "output" for batch-decoupled segments and
-    "input" otherwise.
+    Each probe contracts a fresh unit Gaussian vector with the upper
+    boundary and pulls it back or, where batch norm couples the segment,
+    pushes a Gaussian tangent forward from the lower one (see
+    :func:`_probes`).
     """
     if n_v < 1:
         raise ValueError(f"need at least one probe vector, got {n_v}")
     if not _finite_ends(state, l0, l1):
         return float("nan"), float("nan")
-    forward, probes = _probes(state, l0, l1, n_v, rng, probe_mode)
+    forward, _, probes = _probes(state, l0, l1, n_v, rng)
     norm = state.batch_size * state.spec.boundary_dim(l1)
     terms = np.array([_sweep_ssq(state, l0, l1, stacks, forward) for stacks in probes]) / norm
     stderr = float(terms.std(ddof=1) / np.sqrt(n_v)) if n_v > 1 else float("nan")
@@ -229,11 +229,11 @@ def estimate_segment(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngSt
 
 
 def _ssq_gradient(state: ForwardState, l0: int, l1: int, stacks: Iterable[Array],
-                  forward: bool, weight: float, inputs: list, extra: list,
+                  forward: bool, start: int, weight: float, inputs: list, extra: list,
                   grads: dict) -> None:
     """Add ``weight`` times the scalar gradient of what :func:`_sweep_ssq`
-    returns for the same stacks: direct partials into ``grads`` and
-    cotangents on the segment's block inputs into ``extra``.
+    returns for the same stacks and ``start``: direct partials into
+    ``grads`` and cotangents on the segment's block inputs into ``extra``.
 
     With ``t`` the tangent entering the segment and ``u`` the cotangent
     leaving it, the change of ``|J t|^2`` (``t`` the stack, ``u = J t``)
@@ -241,7 +241,9 @@ def _ssq_gradient(state: ForwardState, l0: int, l1: int, stacks: Iterable[Array]
     a sum of one term per block. The probe sweep runs taped; the reverse
     sweep starts from its result, meets each block with the tangent or
     cotangent the tape holds for the other side, and drops tape entries
-    as it goes.
+    as it goes. A forward basis entering after block 0 (``start = 1``)
+    has no input tangent there; that block is a dense one, whose partials
+    do not read it.
     """
     spec = state.spec
     seg = spec.segment(l0, l1)
@@ -260,10 +262,10 @@ def _ssq_gradient(state: ForwardState, l0: int, l1: int, stacks: Iterable[Array]
             extra[k] = c if extra[k] is None else extra[k] + c
 
     for stack in stacks:
-        tape: list[Array] = []
+        tape: list = [None] * start
         skip: list[Array] = []
         if forward:
-            jvp_segment(state, l0, l1, stack, tape=tape)
+            jvp_segment(state, l0, l1, stack, tape=tape, start=start)
             u = tape[-1]
             for k in reversed(range(len(seg))):
                 collect(k, u, tape[k], tape.pop())
@@ -279,8 +281,7 @@ def _ssq_gradient(state: ForwardState, l0: int, l1: int, stacks: Iterable[Array]
                 t = jt
 
 
-def scalar_gradient(state: ForwardState, pairs: dict, kernels: dict, n_v: int, *,
-                    probe_mode: str = "auto") -> dict:
+def scalar_gradient(state: ForwardState, pairs: dict, kernels: dict, n_v: int) -> dict:
     """Exact gradient of ``sum_l w_l J_l + sum_b v_b K_b`` with respect to
     every scalar in ``state.aux``.
 
@@ -310,10 +311,11 @@ def scalar_gradient(state: ForwardState, pairs: dict, kernels: dict, n_v: int, *
         extra: list = [None] * len(inputs)
         if b - 1 in pairs:
             weight, rng = pairs[b - 1]
-            forward, probes = _probes(state, b - 1, b, n_v, rng, probe_mode)
+            forward, start, probes = _probes(state, b - 1, b, n_v, rng)
             w = weight / (max(n_v, 1) * state.batch_size * spec.boundary_dim(b))
             for stacks in probes:
-                _ssq_gradient(state, b - 1, b, stacks, forward, w, inputs, extra, grads)
+                _ssq_gradient(state, b - 1, b, stacks, forward, start, w, inputs, extra,
+                              grads)
         g = pullback_segment(state, b - 1, b, g, inputs, extra, grads)
     return grads
 
@@ -334,9 +336,9 @@ def profile_pairs(spec: NetworkSpec, k: int) -> list[tuple[int, int]]:
 def apjn_profile(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Array,
                  k: int = 1, *, method: str = "auto", n_v: int = 16,
                  n_param_samples: int = 1, rng: RngStream | None = None,
-                 probe_mode: str = "auto",
                  max_entries: int = DEFAULT_MAX_ENTRIES) -> ApjnReport:
-    """Per-pair norms over the skip-k cover of the network.
+    """Per-pair norms over the skip-k cover of the network, and the
+    boundary kernels of the supplied ``params``.
 
     ``n_param_samples > 1`` re-initializes the parameters per sample (the
     supplied ``params`` is sample zero) and averages; ``method`` is "exact",
@@ -359,14 +361,15 @@ def apjn_profile(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Ar
     for s in range(n_param_samples):
         ps = params if s == 0 else init_params(spec, rng.child(10_000 + s))
         state = run_network(spec, ps, aux, batch)
+        if s == 0:
+            kernels = kernel_profile(state)
         for (l0, l1) in pairs:
             if methods[(l0, l1)] == "exact":
                 val = exact_apjn(state, l0, l1, max_entries=max_entries)
                 err = float("nan")
             else:
                 val, err = estimate_segment(state, l0, l1, n_v,
-                                            rng.child(20_000 + s * 1000 + l0),
-                                            probe_mode=probe_mode)
+                                            rng.child(20_000 + s * 1000 + l0))
             per_pair_vals[(l0, l1)].append(val)
             per_pair_err[(l0, l1)].append(err)
     out = []
@@ -384,7 +387,7 @@ def apjn_profile(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Ar
                 stderr = per_pair_err[(l0, l1)][0]
         out.append(ApjnPair(l0, l1, value, stderr, "estimated" if m == "estimate" else "exact",
                             n_v_used, bsz, n_param_samples))
-    return ApjnReport(out)
+    return ApjnReport(out, kernels)
 
 
 def factorization_residual(state: ForwardState, l: int, *,

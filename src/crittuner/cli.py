@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .apjn import apjn_profile
-from .blocks import OPS, AuxScalars, NetworkSpec, init_params, run_network
+from .blocks import OPS, AuxScalars, NetworkSpec, init_params
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -28,7 +28,6 @@ from .config import (
     network_to_lines,
 )
 from .data import FormatError, make_batch
-from .losses import kernel_profile
 from .meanfield import relu_dynamics
 from .tensor import RngStream
 from .tuner import DivergenceError, TuneTrace, tune
@@ -89,22 +88,19 @@ def _setup(cfg: ExperimentConfig, seed: int, stream_id: int = 0):
 # --------------------------------------------------------------------------
 
 def _measure(cfg: ExperimentConfig, seed: int, stream_id: int = 0):
-    """Norm report of the configured network and the boundary kernels of its first draw."""
+    """Norm report of the configured network, with the boundary kernels of its first draw."""
     net, rng, batch, params = _setup(cfg, seed, stream_id)
-    aux = AuxScalars.ones(net, "none")
     m = cfg.measure
-    report = apjn_profile(net, params, aux, batch, m.k, method=m.method, n_v=m.n_v,
-                          n_param_samples=m.param_samples, rng=rng.child(3),
-                          probe_mode=m.probe_mode)
-    return report, kernel_profile(run_network(net, params, aux, batch))
+    return apjn_profile(net, params, AuxScalars.ones(net, "none"), batch, m.k, method=m.method,
+                        n_v=m.n_v, n_param_samples=m.param_samples, rng=rng.child(3))
 
 
-def _first_non_finite(report, kernels) -> str | None:
+def _first_non_finite(report) -> str | None:
     """Names the first non-finite norm, else kernel, of a measurement; None if all are finite."""
     for p in report.pairs:
         if not np.isfinite(p.value):
             return f"norm of pair ({p.l0}, {p.l}) is {p.value}"
-    for i, v in enumerate(kernels):
+    for i, v in enumerate(report.kernels):
         if not np.isfinite(v):
             return f"kernel at boundary {i} is {v}"
     return None
@@ -112,7 +108,8 @@ def _first_non_finite(report, kernels) -> str | None:
 
 def cmd_measure(cfg: ExperimentConfig, args) -> int:
     seed = cfg.seed if args.seed is None else args.seed
-    report, kernels = _measure(cfg, seed)
+    report = _measure(cfg, seed)
+    kernels = report.kernels
     if args.format == "json":
         doc = {
             "apjn": [vars(p) for p in report.pairs],
@@ -123,7 +120,7 @@ def cmd_measure(cfg: ExperimentConfig, args) -> int:
         _emit("\n".join(report.csv_rows()), args.out)
         krows = ["boundary,kernel"] + [f"{i},{v:.12g}" for i, v in enumerate(kernels)]
         _emit("\n".join(krows), _sibling(args.out, ".kernels.csv"))
-    bad = _first_non_finite(report, kernels)
+    bad = _first_non_finite(report)
     if bad is not None:
         sys.stderr.write(f"divergence: {bad}\n")
         return EXIT_DIVERGED
@@ -232,9 +229,9 @@ def _scan_point(cfg: ExperimentConfig, names, values, seed: int, index: int) -> 
     try:
         diverged = False
         if cfg.scan.mode == "measure":
-            report, kernels = _measure(cfg, seed, stream_id=index)
+            report = _measure(cfg, seed, stream_id=index)
             js = report.values()
-            diverged = _first_non_finite(report, kernels) is not None
+            diverged = _first_non_finite(report) is not None
             row["steps"] = 0
         else:
             net, rng, batch, params = _setup(cfg, seed, stream_id=index)

@@ -48,7 +48,6 @@ class MeasureConfig:
     method: str = "auto"                 # auto | exact | estimate
     n_v: int = 16
     param_samples: int = 1
-    probe_mode: str = "auto"
 
 
 @dataclass
@@ -214,11 +213,7 @@ def _apply_key(cfg: ExperimentConfig, key: str, value: str, blocks, tune_kv):
         if value not in ("auto", "exact", "estimate"):
             raise ConfigError(f"unknown measure method {value!r}")
         cfg.measure.method = value
-    elif key == "measure.probe_mode":
-        if value not in ("auto", "output", "input"):
-            raise ConfigError(f"unknown probe mode {value!r}")
-        cfg.measure.probe_mode = value
-    elif key.startswith("tune."):
+    elif key.startswith("tune.") and key[5:] in _TUNE_KEYS:
         tune_kv[key[5:]] = value
     elif key == "scan.mode":
         if value not in ("measure", "tune"):
@@ -250,10 +245,7 @@ _TUNE_KEYS = {
     "steps": ("t_max", int),
     "epsilon": ("eps", float),
     "n_v": ("n_v", int),
-    "probe_mode": ("probe_mode", str),
     "grad": ("grad_mode", str),
-    "return": ("return_mode", str),
-    "span": ("span", str),
     "fresh_batch": ("fresh_batch", None),
     "aux": ("aux_groups", None),
 }
@@ -262,8 +254,6 @@ _TUNE_KEYS = {
 def _apply_tune(cfg: ExperimentConfig, kv: dict[str, str]):
     updates = {}
     for k, v in kv.items():
-        if k not in _TUNE_KEYS:
-            raise ConfigError(f"unknown key 'tune.{k}'")
         attr, cast = _TUNE_KEYS[k]
         if k == "fresh_batch":
             updates[attr] = _parse_bool(v, f"tune.{k}")
@@ -288,7 +278,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         lines += network_to_lines(cfg.network) + [""]
     m = cfg.measure
     lines += [f"measure.k = {m.k}", f"measure.method = {m.method}", f"measure.n_v = {m.n_v}",
-              f"measure.param_samples = {m.param_samples}", f"measure.probe_mode = {m.probe_mode}", ""]
+              f"measure.param_samples = {m.param_samples}", ""]
     t = cfg.tune
     aux = t.aux_groups if isinstance(t.aux_groups, str) else ",".join(sorted(t.aux_groups))
     lines += [f"tune.loss = {t.loss}", f"tune.lambda = {_fmt(t.lam)}"]
@@ -296,9 +286,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         lines.append(f"tune.eta = {_fmt(t.eta)}")
     lines += [f"tune.schedule = {t.schedule}", f"tune.bound_safety = {_fmt(t.bound_safety)}",
               f"tune.steps = {t.t_max}", f"tune.epsilon = {_fmt(t.eps)}",
-              f"tune.n_v = {t.n_v}", f"tune.probe_mode = {t.probe_mode}",
-              f"tune.grad = {t.grad_mode}",
-              f"tune.return = {t.return_mode}", f"tune.span = {t.span}",
+              f"tune.n_v = {t.n_v}", f"tune.grad = {t.grad_mode}",
               f"tune.fresh_batch = {str(t.fresh_batch).lower()}", f"tune.aux = {aux}", ""]
     s = cfg.scan
     lines.append(f"scan.mode = {s.mode}")

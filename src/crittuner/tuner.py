@@ -1,13 +1,14 @@
 """SGD on the twin network's auxiliary scalars.
 
-Each step measures the per-pair Jacobian norms (and kernels, for the
-kernel-augmented loss) on a fixed parameter draw, forms the loss, steps the
-scalars down its gradient, and logs everything. Gradients are either exact
-or, for ReLU stacks, the closed form ``2 log(J) / a`` per layer. The exact
-gradient is that of the measured estimator itself: same forward pass, same
-probe vectors, same losses and kernels, differentiated through one taped
-sweep per probe and one pullback through the network
-(:func:`crittuner.apjn.scalar_gradient`).
+Each step measures the Jacobian norm of every (l, l+1) pair (and the
+kernels, for the kernel-augmented loss) on a fixed parameter draw, forms
+the loss, steps the scalars down its gradient, and logs everything. The
+tuned scalars are folded into the returned network's sigmas and
+parameters. Gradients are either exact or, for ReLU stacks, the closed
+form ``2 log(J) / a`` per layer. The exact gradient is that of the
+measured estimator itself: same forward pass, same probe vectors, same
+losses and kernels, differentiated through one taped sweep per probe and
+one pullback through the network (:func:`crittuner.apjn.scalar_gradient`).
 
 Also here: the closed-form learning rates for ReLU stacks - the per-layer
 rate that reaches criticality in one step, the time-t stability bound, and
@@ -57,11 +58,8 @@ class TuneConfig:
     t_max: int = 100
     eps: float = 0.0                   # stop once loss <= eps
     n_v: int = 2                       # probes per pair; 0 -> exact norms
-    probe_mode: str = "auto"
     grad_mode: str = "exact"           # exact | analytic-relu
-    return_mode: str = "scale-sigmas"  # scale-sigmas | freeze-aux
     aux_groups: object = "default"     # see AuxScalars.ones
-    span: str = "include-io"           # include-io | interior-only
     fresh_batch: bool = False
 
     def __post_init__(self):
@@ -78,14 +76,8 @@ class TuneConfig:
                 raise ValueError("constant schedule needs eta > 0")
         if self.grad_mode not in ("exact", "analytic-relu"):
             raise ValueError(f"unknown grad mode {self.grad_mode!r}")
-        if self.return_mode not in ("scale-sigmas", "freeze-aux"):
-            raise ValueError(f"unknown return mode {self.return_mode!r}")
-        if self.span not in ("include-io", "interior-only"):
-            raise ValueError(f"unknown span {self.span!r}")
         if self.n_v < 0:
             raise ValueError("n_v must be >= 0")
-        if self.probe_mode not in ("auto", "output", "input"):
-            raise ValueError(f"unknown probe mode {self.probe_mode!r}")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         if self.bound_safety <= 0:
@@ -104,7 +96,6 @@ class TuneStep:
 
 @dataclass
 class TuneTrace:
-    pair_lo: int
     aux_keys: list
     steps: list = field(default_factory=list)
 
@@ -123,7 +114,7 @@ class TuneTrace:
 
     def csv_rows(self) -> list[str]:
         n_pairs = len(self.steps[0].js) if self.steps else 0
-        jcols = [f"J_{self.pair_lo + i}" for i in range(n_pairs)]
+        jcols = [f"J_{i}" for i in range(n_pairs)]
         acols = [f"a_{i}_{g}" for (i, g) in self.aux_keys]
         rows = [",".join(["t", "loss"] + jcols + acols + ["eta"])]
         for s in self.steps:
@@ -149,28 +140,23 @@ class TuneResult:
 # measurement plumbing
 # --------------------------------------------------------------------------
 
-def _pair_list(spec: NetworkSpec, span: str) -> list[int]:
-    lo = 0 if span == "include-io" else 1
-    top = spec.n_boundaries - 1
-    if lo >= top:
-        raise ValueError("network has no tunable pairs in the chosen span")
-    return list(range(lo, top))
+def _pair_list(spec: NetworkSpec) -> range:
+    """Every (l, l+1) pair, by its lower boundary l."""
+    return range(spec.n_boundaries - 1)
 
 
-def _measure(spec, params, aux, batch, cfg: TuneConfig, pairs, rng: RngStream):
+def _measure(spec, params, aux, batch, cfg: TuneConfig, rng: RngStream):
     """Forward state, per-pair norms and kernels. Pair l draws its probes
     from ``rng.child(l)``, so the exact gradient can draw the very probes
     this measurement used from the same ``rng``."""
     state = run_network(spec, params, aux, batch)
-    js = np.empty(len(pairs))
-    for n, l in enumerate(pairs):
+    js = np.empty(spec.n_boundaries - 1)
+    for l in _pair_list(spec):
         if cfg.n_v == 0:
-            js[n] = exact_apjn(state, l, l + 1)
+            js[l] = exact_apjn(state, l, l + 1)
         else:
-            js[n], _ = estimate_segment(state, l, l + 1, cfg.n_v, rng.child(l),
-                                        probe_mode=cfg.probe_mode)
-    ks = kernel_profile(state)[pairs[0]:pairs[-1] + 2]
-    return state, js, ks
+            js[l], _ = estimate_segment(state, l, l + 1, cfg.n_v, rng.child(l))
+    return state, js, kernel_profile(state)
 
 
 def _loss(cfg: TuneConfig, js: np.ndarray, ks: np.ndarray) -> LossValue | None:
@@ -221,26 +207,25 @@ def grad_aux(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Array,
     (times ``1 + lam`` for the kernel-augmented loss at sigma_b = 0) and
     bias scalars get zero.
     """
-    pairs = _pair_list(spec, cfg.span)
+    pairs = _pair_list(spec)
     if measured is None:
-        measured = _measure(spec, params, aux, batch, cfg, pairs, rng)
+        measured = _measure(spec, params, aux, batch, cfg, rng)
     state, js, ks = measured
     if cfg.grad_mode == "analytic-relu":
         if not np.all(np.isfinite(js) & (js > 0)):
             raise DivergenceError("measured norms left the positive domain",
-                                  trace or TuneTrace(pairs[0], aux.keys()))
+                                  trace or TuneTrace(aux.keys()))
         return _grad_analytic(spec, aux, cfg, pairs, js)
     loss = _loss(cfg, js, ks)
     if loss is None:
-        raise DivergenceError("loss non-finite", trace or TuneTrace(pairs[0], aux.keys()))
-    terms = {l: (float(loss.dj[n]), rng.child(l) if cfg.n_v else None)
-             for n, l in enumerate(pairs)}
-    kernels = {} if loss.dk is None else {pairs[0] + n: float(v) for n, v in enumerate(loss.dk)}
-    grads = scalar_gradient(state, terms, kernels, cfg.n_v, probe_mode=cfg.probe_mode)
+        raise DivergenceError("loss non-finite", trace or TuneTrace(aux.keys()))
+    terms = {l: (float(loss.dj[l]), rng.child(l) if cfg.n_v else None) for l in pairs}
+    kernels = {} if loss.dk is None else {b: float(v) for b, v in enumerate(loss.dk)}
+    grads = scalar_gradient(state, terms, kernels, cfg.n_v)
     for key, value in grads.items():
         if not math.isfinite(value):
             raise DivergenceError(f"gradient non-finite at {key}",
-                                  trace or TuneTrace(pairs[0], aux.keys()))
+                                  trace or TuneTrace(aux.keys()))
     return grads
 
 
@@ -251,13 +236,12 @@ def _grad_analytic(spec: NetworkSpec, aux: AuxScalars, cfg: TuneConfig, pairs, j
             raise ValueError("analytic gradients for the kernel loss need sigma_b = 0")
     owners = _pair_weight_blocks(spec, pairs)
     block_of = {blk: l for l, blk in owners.items()}
-    jmap = {l: js[n] for n, l in enumerate(pairs)}
     grads = {}
     for (i, g) in aux.keys():
         if g != "W" or i not in block_of:
             grads[(i, g)] = 0.0
             continue
-        jl = jmap[block_of[i]]
+        jl = js[block_of[i]]
         a = aux.get(i, "W")
         if cfg.loss == "jsl":
             grads[(i, g)] = (2.0 * jl / a) * (jl - 1.0)
@@ -279,17 +263,16 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
     The parameter draw is fixed throughout; the batch too, unless
     ``fresh_batch`` and a ``batch_provider(t)`` are given: then step t
     measures and takes its gradient on ``batch_provider(t)``, called once
-    per step. On exit the scalars are folded into the returned model:
-    either into the sigmas and parameters ("scale-sigmas") or kept as
-    frozen multipliers ("freeze-aux"). A non-finite loss raises
-    :class:`DivergenceError` carrying the partial trace.
+    per step. On exit the scalars are folded into the returned model's
+    sigmas and parameters, which leaves its scalars at 1. A non-finite loss
+    raises :class:`DivergenceError` carrying the partial trace.
     """
-    pairs = _pair_list(spec, cfg.span)
+    pairs = _pair_list(spec)
     aux = AuxScalars.ones(spec, cfg.aux_groups)
     keys = aux.keys()
     if not keys:
         raise ValueError("no tunable scalars for the chosen aux groups")
-    trace = TuneTrace(pairs[0], keys)
+    trace = TuneTrace(keys)
     owners = _pair_weight_blocks(spec, pairs)
     sigma_of_pair = {l: spec.blocks[i].sigma_w for l, i in owners.items()}
 
@@ -297,7 +280,7 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
         # step t's batch, stream and forward state, reused by its gradient
         step_batch = batch_provider(t) if cfg.fresh_batch and batch_provider is not None else batch
         step_rng = rng.child(t)
-        state, js, ks = _measure(spec, params, aux_now, step_batch, cfg, pairs, step_rng)
+        state, js, ks = _measure(spec, params, aux_now, step_batch, cfg, step_rng)
         return step_batch, step_rng, state, js, ks
 
     def need_pair_sigmas():
@@ -320,16 +303,16 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
             rates = {key: cfg.eta for key in keys}
         elif cfg.schedule == "relu-bound":
             need_pair_sigmas()
-            bounds = [eta_bound([js[n]], sigma_of_pair[l], loss=cfg.loss if cfg.loss != "jkl" else "jll")
-                      for n, l in enumerate(pairs)]
+            bounds = [eta_bound([js[l]], sigma_of_pair[l], loss=cfg.loss if cfg.loss != "jkl" else "jll")
+                      for l in pairs]
             eta_used = cfg.bound_safety * min(bounds)
             rates = {key: eta_used for key in keys}
         else:  # one-step, per layer
             need_pair_sigmas()
             rates = {}
             per_pair = {}
-            for n, l in enumerate(pairs):
-                per_pair[l] = eta_one_step(js[n], sigma_of_pair[l],
+            for l in pairs:
+                per_pair[l] = eta_one_step(js[l], sigma_of_pair[l],
                                            loss=cfg.loss if cfg.loss != "jkl" else "jll")
             block_of = {blk: l for l, blk in owners.items()}
             for key in keys:
@@ -348,13 +331,8 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
         trace.append(TuneStep(t, loss, js.copy(), aux.as_vector(), eta_used))
 
     state = None  # nor keep it while folding the scalars in
-    converged = loss <= cfg.eps
-    if cfg.return_mode == "scale-sigmas":
-        out_spec = scale_spec_sigmas(spec, aux)
-        out_params = scale_params(spec, params, aux)
-        out_aux = AuxScalars({k: 1.0 for k in aux.values})
-        return TuneResult(out_spec, out_params, out_aux, trace, converged, t)
-    return TuneResult(spec, params, aux, trace, converged, t)
+    return TuneResult(scale_spec_sigmas(spec, aux), scale_params(spec, params, aux),
+                      AuxScalars({k: 1.0 for k in aux.values}), trace, loss <= cfg.eps, t)
 
 
 # --------------------------------------------------------------------------

@@ -212,8 +212,7 @@ def _bn_apjn(sigma_w, sigma_b, mu, *, depth, width, batch, n_v, seeds, seed0):
         params = init_params(spec, rng.child(2))
         aux = AuxScalars.ones(spec)
         state = run_network(spec, params, aux, x)
-        v, _ = estimate_segment(state, depth, depth + 1, n_v, rng.child(3),
-                                probe_mode="input")
+        v, _ = estimate_segment(state, depth, depth + 1, n_v, rng.child(3))
         vals.append(v)
     return float(np.mean(vals))
 
@@ -264,8 +263,7 @@ def bn_batch_saturation(seed: int = 0, *, depth=30, width=500, n_v=16, seeds=10,
         aux = AuxScalars.ones(spec)
         for b in sizes:
             state = run_network(spec, params, aux, x_full[:b])
-            v, _ = estimate_segment(state, depth, depth + 1, n_v, rng.child(3),
-                                    probe_mode="input")
+            v, _ = estimate_segment(state, depth, depth + 1, n_v, rng.child(3))
             sums[b] += v
     js = {b: sums[b] / seeds for b in sizes}
     gap = abs(js[128] - js[256]) / js[256]
@@ -326,9 +324,9 @@ def estimator_unbiasedness(seed: int = 0, *, width=64, depth=4, batch=8,
     aux = AuxScalars.ones(spec)
     state = run_network(spec, params, aux, x)
     exact = exact_apjn(state, 1, 2)
-    est, err = estimate_segment(state, 1, 2, n_v, rng.child(3), probe_mode="output")
+    est, err = estimate_segment(state, 1, 2, n_v, rng.child(3))
     gap_ok = abs(est - exact) <= 3 * err
-    _, e_small = estimate_segment(state, 1, 2, n_v // 4, rng.child(4), probe_mode="output")
+    _, e_small = estimate_segment(state, 1, 2, n_v // 4, rng.child(4))
     ratio = e_small / err
     scaling_ok = 2.0 * 0.8 <= ratio <= 2.0 * 1.2
     return VerifyResult(

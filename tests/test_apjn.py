@@ -1,11 +1,10 @@
-import zlib
-
 import numpy as np
 import pytest
 
 from crittuner.apjn import (
     ResourceBudgetError,
     _basis,
+    _probes,
     apjn_profile,
     estimate_segment,
     exact_apjn,
@@ -70,7 +69,7 @@ def test_identity_probe_terms_are_chi_square():
     spec = NetworkSpec((activation("linear", boundary=True),), (n,))
     state, rng = _state(spec, 4, 5)
     # each probe's term is ||v||^2 / n for its probe vector
-    value, stderr = estimate_segment(state, 0, 1, n_v, rng.child(3), probe_mode="output")
+    value, stderr = estimate_segment(state, 0, 1, n_v, rng.child(3))
     assert abs(value - 1.0) < 5 * np.sqrt(2.0 / (n * n_v))
     assert abs(stderr / np.sqrt(2.0 / (n * n_v)) - 1.0) < 0.4
 
@@ -79,10 +78,8 @@ def test_estimator_unbiased_against_exact():
     spec = relu_mlp(3, 64, SQRT2, 0.3)
     state, rng = _state(spec, 5, 8)
     exact = exact_apjn(state, 1, 2)
-    for mode in ("output", "input"):
-        stream = rng.child(zlib.crc32(mode.encode()) % 100)
-        val, err = estimate_segment(state, 1, 2, 800, stream, probe_mode=mode)
-        assert abs(val - exact) <= 3 * err, mode
+    val, err = estimate_segment(state, 1, 2, 800, rng.child(34))
+    assert abs(val - exact) <= 3 * err
 
 
 def test_estimator_stderr_scaling():
@@ -163,10 +160,8 @@ def test_exact_handles_batchnorm_cross_terms():
     spec = prebn_residual_mlp(2, 10, 1.2, 0.4, mu=0.5)
     state, rng = _state(spec, 11, 6)
     exact = exact_apjn(state, 0, 1)
-    val, err = estimate_segment(state, 0, 1, 3000, rng.child(1), probe_mode="input")
+    val, err = estimate_segment(state, 0, 1, 3000, rng.child(1))
     assert abs(val - exact) <= 3 * err
-    val2, err2 = estimate_segment(state, 0, 1, 400, rng.child(2), probe_mode="output")
-    assert abs(val2 - exact) <= 3 * err2
 
 
 def test_profile_pair_arithmetic():
@@ -260,7 +255,8 @@ def _bit_identity_state(spec, batch):
 
 def _assert_bit_identical(state, starts):
     for (l0, l1), start in starts.items():
-        assert _basis(state, l0, l1, through_first=True)[1] == start, (l0, l1)
+        assert _basis(state, l0, l1)[1] == start, (l0, l1)
+        assert _probes(state, l0, l1, 0, None)[1] == start, (l0, l1)
         got = exact_apjn(state, l0, l1)
         assert got == _eye_sweep_apjn(state, l0, l1), (l0, l1)
 

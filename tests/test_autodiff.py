@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from crittuner import tuner
+from crittuner.apjn import _probes
 from crittuner.blocks import (
     ACTIVATIONS,
     OPS,
@@ -143,7 +144,6 @@ def _fd_grad(spec, params, aux, x, cfg, rng, h=1e-5):
     """Central differences of the tuner's loss in each scalar, a -> a (1 +/- h),
     with common random numbers: the same batch, parameter draw and probe
     stream on both sides of every perturbation."""
-    pairs = tuner._pair_list(spec, cfg.span)
     base = aux.as_vector()
     grads = {}
     for n, key in enumerate(aux.keys()):
@@ -152,21 +152,24 @@ def _fd_grad(spec, params, aux, x, cfg, rng, h=1e-5):
             vec = base.copy()
             vec[n] = base[n] * (1.0 + sign * h)
             shifted = AuxScalars(dict(zip(aux.keys(), vec)))
-            _, js, ks = tuner._measure(spec, params, shifted, x, cfg, pairs, rng)
+            _, js, ks = tuner._measure(spec, params, shifted, x, cfg, rng)
             losses.append(tuner._loss_of(cfg, js, ks))
         grads[key] = (losses[0] - losses[1]) / (2.0 * base[n] * h)
     return grads
 
 
-PROBES = {"exact": dict(n_v=0), "output": dict(n_v=2, probe_mode="output"),
-          "input": dict(n_v=2, probe_mode="input")}
+# n_v = 0 sweeps the exact basis; n_v = 2 draws probes, named by the side
+# they enter: input tangents where batch norm couples a pair, output rows
+# elsewhere
+GRADIENT_CASES = [pytest.param(name, loss, n_v, id=f"{name}-{loss}-{probes}")
+                  for name, spec in sorted(CASES.items())
+                  for loss in ("jkl", "jll", "jsl")
+                  for probes, n_v in (("exact", 0),
+                                      ("input" if spec.has_batchnorm else "output", 2))]
 
 
-@pytest.mark.parametrize("probes", sorted(PROBES))
-@pytest.mark.parametrize("loss", ["jll", "jsl", "jkl"])
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_exact_gradient_matches_central_differences(name, loss, probes):
-    # output probes are broadcast rows, or one-hot per sample across batch norm
+@pytest.mark.parametrize("name, loss, n_v", GRADIENT_CASES)
+def test_exact_gradient_matches_central_differences(name, loss, n_v):
     spec = CASES[name]
     rng = RngStream(zlib.crc32(name.encode()) % 1000)
     params = init_params(spec, rng.child(1))
@@ -174,11 +177,16 @@ def test_exact_gradient_matches_central_differences(name, loss, probes):
     for n, key in enumerate(aux.keys()):
         aux.values[key] = 0.8 + 0.07 * n   # exercise non-unit scalars
     x = rng.child(2).normal((4, *spec.input_shape))
-    cfg = tuner.TuneConfig(loss=loss, lam=0.5 if loss == "jkl" else 0.0, eta=0.1,
-                           **PROBES[probes])
+    cfg = tuner.TuneConfig(loss=loss, lam=0.5 if loss == "jkl" else 0.0, eta=0.1, n_v=n_v)
+    if n_v:
+        # coupled pairs tape forward input probes, the others reverse output probes
+        state = run_network(spec, params, aux, x)
+        for l in tuner._pair_list(spec):
+            forward, _, _ = _probes(state, l, l + 1, n_v, rng.child(3).child(l))
+            assert forward == spec.segment_has_batchnorm(l, l + 1), (name, l)
     exact = tuner.grad_aux(spec, params, aux, x, cfg, rng.child(3))
     numeric = _fd_grad(spec, params, aux, x, cfg, rng.child(3))
     assert set(exact) == set(numeric)
     scale = max(abs(v) for v in numeric.values())
     worst = max(abs(exact[k] - numeric[k]) for k in numeric)
-    assert worst <= 1e-5 * scale, (name, loss, probes, worst / scale)
+    assert worst <= 1e-5 * scale, (name, loss, n_v, worst / scale)

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from crittuner import apjn, blocks, cli
 from crittuner.cli import main
+from crittuner.config import load_config
+from crittuner.losses import kernel_profile
 
 MLP_CFG = """
 seed = 11
@@ -56,6 +59,26 @@ def test_measure_json_mirror(mlp_cfg, tmp_path):
     assert len(doc["apjn"]) == 3
     assert len(doc["kernels"]) == 4
     assert doc["apjn"][0]["method"] == "exact"
+
+
+def test_measure_runs_one_forward_pass_per_draw(mlp_cfg, tmp_path, monkeypatch):
+    # the kernels are read off parameter draw 0's pass, not off a second one
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return blocks.run_network(*args, **kwargs)
+
+    for module in (cli, apjn):
+        monkeypatch.setattr(module, "run_network", counted, raising=False)
+    out = tmp_path / "report.csv"
+    assert main(["measure", "--config", str(mlp_cfg), "--out", str(out)]) == 0
+    assert len(calls) == 3   # measure.param_samples
+    net, _, batch, params = cli._setup(load_config(str(mlp_cfg)), 11)
+    aux = blocks.AuxScalars.ones(net, "none")
+    kernels = kernel_profile(blocks.run_network(net, params, aux, batch))
+    krows = ["boundary,kernel"] + [f"{i},{v:.12g}" for i, v in enumerate(kernels)]
+    assert (tmp_path / "report.kernels.csv").read_text() == "\n".join(krows) + "\n"
 
 
 def test_measure_deterministic_given_seed(mlp_cfg, tmp_path):

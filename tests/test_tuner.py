@@ -121,8 +121,9 @@ def test_jsl_analytic_gradient():
 # -- the loop ------------------------------------------------------------------
 
 def test_config_rejects_unknown_probe_mode_and_aux_groups():
-    with pytest.raises(ValueError, match="probe mode"):
-        TuneConfig(eta=0.1, probe_mode="bogus")
+    # the probe side follows each segment; there is no probe_mode to set
+    with pytest.raises(TypeError, match="probe_mode"):
+        TuneConfig(eta=0.1, probe_mode="input")
     with pytest.raises(ValueError, match="'default', 'all', 'none'"):
         TuneConfig(eta=0.1, aux_groups="alpha")
     assert TuneConfig(eta=0.1, aux_groups={"W"}).aux_groups == {"W"}
@@ -193,20 +194,20 @@ def test_monotone_contraction_under_bound():
 
 
 def test_return_mode_equivalence():
+    # the returned network, scalars folded in, equals the twin network run
+    # with the scalars of the trace's last step
     spec = relu_mlp(3, 60, 2.0, 0.3)
     x, params, rng = _setup(spec, 11, 8)
-    base = dict(loss="jll", eta=0.15, t_max=10, n_v=2)
-    res_scale = tune(spec, params, x, TuneConfig(**base, return_mode="scale-sigmas"),
-                     rng.child(3))
-    res_freeze = tune(spec, params, x, TuneConfig(**base, return_mode="freeze-aux"),
-                      rng.child(3))
-    a = run_network(res_scale.spec, res_scale.params, res_scale.aux, x)
-    b = run_network(res_freeze.spec, res_freeze.params, res_freeze.aux, x)
+    res = tune(spec, params, x, TuneConfig(loss="jll", eta=0.15, t_max=10, n_v=2),
+               rng.child(3))
+    assert all(v == 1.0 for v in res.aux.values.values())
+    last = AuxScalars(dict(zip(res.trace.aux_keys, res.trace.steps[-1].aux)))
+    a = run_network(res.spec, res.params, res.aux, x)
+    b = run_network(spec, params, last, x)
     for ba, bb in zip(a.boundaries, b.boundaries):
         assert np.allclose(ba, bb, rtol=1e-12)
-    # and the scaled spec's sigmas reflect the tuned scalars
-    tuned_a = res_freeze.aux.get(0, "W")
-    assert res_scale.spec.blocks[0].sigma_w == pytest.approx(2.0 * tuned_a, rel=1e-12)
+    # and the folded spec's sigmas reflect the tuned scalars
+    assert res.spec.blocks[0].sigma_w == pytest.approx(2.0 * last.get(0, "W"), rel=1e-12)
 
 
 def test_layer_independence_relu():
