@@ -13,8 +13,8 @@ import zlib
 import numpy as np
 import pytest
 
-from crittuner import tuner
-from crittuner.apjn import _probes
+from crittuner import apjn, tuner
+from crittuner.apjn import _probes, _row_stacks
 from crittuner.blocks import (
     ACTIVATIONS,
     OPS,
@@ -158,18 +158,37 @@ def _fd_grad(spec, params, aux, x, cfg, rng, h=1e-5):
     return grads
 
 
+def _probes_on(side):
+    """A stand-in for :func:`crittuner.apjn._probes` that draws its probes on
+    ``side`` for every segment, in the order and from the stream that
+    ``_probes`` draws that side from: Gaussian tangents on the lower boundary
+    ("input"), or Gaussian rows on the upper one, one-hot per sample across
+    batch norm ("output"). The exact basis is left to ``_probes``."""
+    def probes(state, l0, l1, n_v, rng):
+        if n_v == 0:
+            return _probes(state, l0, l1, n_v, rng)
+        spec, bsz = state.spec, state.batch_size
+        if side == "input":
+            d0 = spec.boundary_dim(l0)
+            return True, 0, ([rng.normal((1, bsz, d0))] for _ in range(n_v))
+        d1, coupled = spec.boundary_dim(l1), spec.segment_has_batchnorm(l0, l1)
+        return False, 0, (_row_stacks(rng.normal(d1)[None].__getitem__, 1, bsz, coupled)
+                          for _ in range(n_v))
+    return probes
+
+
 # n_v = 0 sweeps the exact basis; n_v = 2 draws probes, named by the side
-# they enter: input tangents where batch norm couples a pair, output rows
-# elsewhere
-GRADIENT_CASES = [pytest.param(name, loss, n_v, id=f"{name}-{loss}-{probes}")
-                  for name, spec in sorted(CASES.items())
+# they enter. The tuner draws input tangents where batch norm couples a pair
+# and output rows elsewhere; the other side is drawn by _probes_on, so the
+# taped gradient is checked in both sweep directions on every network.
+GRADIENT_CASES = [pytest.param(name, loss, probes, id=f"{name}-{loss}-{probes}")
+                  for name in sorted(CASES)
                   for loss in ("jkl", "jll", "jsl")
-                  for probes, n_v in (("exact", 0),
-                                      ("input" if spec.has_batchnorm else "output", 2))]
+                  for probes in ("exact", "input", "output")]
 
 
-@pytest.mark.parametrize("name, loss, n_v", GRADIENT_CASES)
-def test_exact_gradient_matches_central_differences(name, loss, n_v):
+@pytest.mark.parametrize("name, loss, probes", GRADIENT_CASES)
+def test_exact_gradient_matches_central_differences(name, loss, probes, monkeypatch):
     spec = CASES[name]
     rng = RngStream(zlib.crc32(name.encode()) % 1000)
     params = init_params(spec, rng.child(1))
@@ -177,16 +196,19 @@ def test_exact_gradient_matches_central_differences(name, loss, n_v):
     for n, key in enumerate(aux.keys()):
         aux.values[key] = 0.8 + 0.07 * n   # exercise non-unit scalars
     x = rng.child(2).normal((4, *spec.input_shape))
+    n_v = 0 if probes == "exact" else 2
     cfg = tuner.TuneConfig(loss=loss, lam=0.5 if loss == "jkl" else 0.0, eta=0.1, n_v=n_v)
-    if n_v:
+    if n_v and probes == ("input" if spec.has_batchnorm else "output"):
         # coupled pairs tape forward input probes, the others reverse output probes
         state = run_network(spec, params, aux, x)
         for l in tuner._pair_list(spec):
             forward, _, _ = _probes(state, l, l + 1, n_v, rng.child(3).child(l))
             assert forward == spec.segment_has_batchnorm(l, l + 1), (name, l)
+    elif n_v:
+        monkeypatch.setattr(apjn, "_probes", _probes_on(probes))
     exact = tuner.grad_aux(spec, params, aux, x, cfg, rng.child(3))
     numeric = _fd_grad(spec, params, aux, x, cfg, rng.child(3))
     assert set(exact) == set(numeric)
     scale = max(abs(v) for v in numeric.values())
     worst = max(abs(exact[k] - numeric[k]) for k in numeric)
-    assert worst <= 1e-5 * scale, (name, loss, n_v, worst / scale)
+    assert worst <= 1e-5 * scale, (name, loss, probes, worst / scale)
