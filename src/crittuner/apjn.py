@@ -12,10 +12,10 @@ its weight rows, which are that block's image of the identity bit for bit.
 ``estimate_segment`` is the unbiased Monte-Carlo version driven by Gaussian
 probe vectors, one sweep per probe: rows on the upper boundary pulled back,
 or, where batch norm couples the segment, tangents on the lower boundary
-pushed forward. ``scalar_gradient`` is the exact gradient of either, with
-the same basis or probes, in the twin network's scalars. A pair with a
-non-finite boundary activation measures NaN, since a ReLU mask would read
-NaN as inactive.
+pushed forward. ``measure_gradient`` measures every adjacent pair either
+way and, from the same sweeps, taped and reversed at once, gives the exact
+gradient in the twin network's scalars. A pair with a non-finite boundary
+activation measures NaN, since a ReLU mask would read NaN as inactive.
 
 Networks without batch normalization have batch-block-diagonal Jacobians,
 so both paths collapse the batch index and a single broadcast basis covers
@@ -159,19 +159,45 @@ def _probes(state: ForwardState, l0: int, l1: int, n_v: int,
                       for _ in range(n_v))
 
 
-def _sweep_ssq(state: ForwardState, l0: int, l1: int, stacks: Iterable[Array],
-               forward: bool, start: int = 0) -> float:
-    """Total sum of squares of the ``[S, B, ...]`` stacks pushed forward to
-    boundary l1 from block ``start`` of the segment (``forward``), or
-    pulled back from l1 to l0."""
-    ssq = 0.0
-    for t in stacks:
-        if forward:
-            out = jvp_segment(state, l0, l1, t, start=start)
-        else:
-            out = vjp_segment(state, l0, l1, t)
-        ssq += float(np.sum(out * out))
-    return ssq
+def _reverse(state: ForwardState, l0: int, l1: int, tape: list, forward: bool,
+             record: list) -> None:
+    """Append to ``record``, per block of the segment in call order, its
+    index ``k``, scalar partials and input cotangent of ``<u, dJ t>``.
+
+    With ``t`` the tangent entering the segment and ``u`` the cotangent
+    leaving it, the change of ``|J t|^2`` (``t`` the stack, ``u = J t``)
+    or of ``|J^T u|^2`` (``u`` the stack, ``t = J^T u``) is ``2 <u, dJ t>``,
+    a sum of one term per block. The reverse sweep starts from the taped
+    sweep's result, meets each block with what ``tape`` holds for the other
+    side, and drops tape entries as it goes. A forward basis entering after
+    block 0 has no input tangent there, which that dense block's partials
+    do not read."""
+    spec = state.spec
+    seg = spec.segment(l0, l1)
+    ops = [OPS[spec.blocks[i].kind] for i in seg]
+    inputs = segment_inputs(state, l0, l1)
+    skip: list[Array] = []
+
+    def collect(k, u, t, jt):
+        # block k, with output cotangent u, input tangent t and jt = J_k t
+        i = seg[k]
+        blk = spec.blocks[i]
+        record.append((k, ops[k].djvp(blk, partial(state.aux.get, i), u, jt),
+                       ops[k].djvp_input(blk, state.caches[i], inputs[k], u, t)))
+
+    if forward:
+        u = tape[-1]
+        for k in reversed(range(len(seg))):
+            collect(k, u, tape[k], tape.pop())
+            if k:  # the cotangent below the first block is not needed
+                u = ops[k].vjp(spec.blocks[seg[k]], state.caches[seg[k]], u, skip)
+    else:
+        t = tape[0]
+        for k in range(len(seg)):
+            jt = ops[k].jvp(spec.blocks[seg[k]], state.caches[seg[k]], t, skip)
+            collect(k, tape[k + 1], t, jt)
+            tape[k] = None
+            t = jt
 
 
 def _exact_entries(spec: NetworkSpec, l0: int, l1: int, batch_size: int) -> int:
@@ -186,6 +212,36 @@ def _finite_ends(state: ForwardState, l0: int, l1: int) -> bool:
     return bool(np.isfinite(state.boundary(l0)).all() and np.isfinite(state.boundary(l1)).all())
 
 
+def _terms(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngStream | None,
+           record: list | None = None, max_entries: int = DEFAULT_MAX_ENTRIES) -> Array:
+    """Per-probe terms of the (l0, l1) norm (``n_v = 0``: one term, the exact
+    norm): the sum of squares of each probe's tangent stacks (:func:`_probes`)
+    pushed forward to l1 or pulled back to l0, over the batch size and the
+    width of l1; ``[nan]``, without sweeping, when either boundary activation
+    is non-finite. With a ``record``, each sweep is taped and reversed at
+    once (:func:`_reverse`)."""
+    if n_v == 0 and (entries := _exact_entries(state.spec, l0, l1, state.batch_size)) > max_entries:
+        raise ResourceBudgetError(
+            f"exact Jacobian needs {entries:.3g} entries (budget {max_entries:.3g}); "
+            f"use estimate_segment instead")
+    if not _finite_ends(state, l0, l1):
+        return np.array([np.nan])
+    forward, start, probes = _probes(state, l0, l1, n_v, rng)
+    ssq = []
+    for stacks in probes:
+        ssq.append(0.0)
+        for t in stacks:
+            tape = None if record is None else [None] * start
+            if forward:
+                out = jvp_segment(state, l0, l1, t, tape, start=start)
+            else:
+                out = vjp_segment(state, l0, l1, t, tape)
+            ssq[-1] += float(np.sum(out * out))
+            if record is not None:
+                _reverse(state, l0, l1, tape, forward, record)
+    return np.array(ssq) / (state.batch_size * state.spec.boundary_dim(l1))
+
+
 def exact_apjn(state: ForwardState, l0: int, l1: int, *,
                max_entries: int = DEFAULT_MAX_ENTRIES) -> float:
     """Exact (l0, l1) squared Jacobian norm of the forward pass ``state``.
@@ -194,16 +250,7 @@ def exact_apjn(state: ForwardState, l0: int, l1: int, *,
     over parameter draws is up to the caller (see ``apjn_profile``). NaN
     when either boundary activation is non-finite.
     """
-    entries = _exact_entries(state.spec, l0, l1, state.batch_size)
-    if entries > max_entries:
-        raise ResourceBudgetError(
-            f"exact Jacobian needs {entries:.3g} entries (budget {max_entries:.3g}); "
-            f"use estimate_segment instead")
-    if not _finite_ends(state, l0, l1):
-        return float("nan")
-    forward, start, basis = _basis(state, l0, l1)
-    norm = state.batch_size * state.spec.boundary_dim(l1)
-    return _sweep_ssq(state, l0, l1, basis, forward, start) / norm
+    return float(_terms(state, l0, l1, 0, None, max_entries=max_entries)[0])
 
 
 def estimate_segment(state: ForwardState, l0: int, l1: int, n_v: int,
@@ -219,105 +266,54 @@ def estimate_segment(state: ForwardState, l0: int, l1: int, n_v: int,
     """
     if n_v < 1:
         raise ValueError(f"need at least one probe vector, got {n_v}")
-    if not _finite_ends(state, l0, l1):
-        return float("nan"), float("nan")
-    forward, _, probes = _probes(state, l0, l1, n_v, rng)
-    norm = state.batch_size * state.spec.boundary_dim(l1)
-    terms = np.array([_sweep_ssq(state, l0, l1, stacks, forward) for stacks in probes]) / norm
-    stderr = float(terms.std(ddof=1) / np.sqrt(n_v)) if n_v > 1 else float("nan")
+    terms = _terms(state, l0, l1, n_v, rng)
+    stderr = float(terms.std(ddof=1) / np.sqrt(n_v)) if terms.size > 1 else float("nan")
     return float(terms.mean()), stderr
 
 
-def _ssq_gradient(state: ForwardState, l0: int, l1: int, stacks: Iterable[Array],
-                  forward: bool, start: int, weight: float, inputs: list, extra: list,
-                  grads: dict) -> None:
-    """Add ``weight`` times the scalar gradient of what :func:`_sweep_ssq`
-    returns for the same stacks and ``start``: direct partials into
-    ``grads`` and cotangents on the segment's block inputs into ``extra``.
+def measure_gradient(state: ForwardState, n_v: int, rng: RngStream | None,
+                     dj: Callable[[float], float], kernels: dict) -> tuple[Array, dict]:
+    """Norm ``J_l`` of every (l, l+1) pair, as :func:`exact_apjn` (``n_v =
+    0``) or :func:`estimate_segment` with ``rng.child(l)`` measures it on
+    ``state``, and the exact gradient, with the same basis or probes, of
+    ``sum_l dj(J_l) J_l + sum_b kernels[b] K_b`` in every scalar of
+    ``state.aux`` (``K_b`` the kernel, :func:`~crittuner.losses.kernel_profile`).
 
-    With ``t`` the tangent entering the segment and ``u`` the cotangent
-    leaving it, the change of ``|J t|^2`` (``t`` the stack, ``u = J t``)
-    or of ``|J^T u|^2`` (``u`` the stack, ``t = J^T u``) is ``2 <u, dJ t>``,
-    a sum of one term per block. The probe sweep runs taped; the reverse
-    sweep starts from its result, meets each block with the tangent or
-    cotangent the tape holds for the other side, and drops tape entries
-    as it goes. A forward basis entering after block 0 (``start = 1``)
-    has no input tangent there; that block is a dense one, whose partials
-    do not read it.
+    Segments go top-down, one segment's tapes and records at a time: each
+    probe sweep of a pair is taped and reversed at once, the partials are
+    weighted once the pair's norm is known, and a pullback through the
+    forward map carries the cotangent to the boundary below. Once some
+    ``dj(J_l)`` is non-finite, every partial is NaN and the pairs below are
+    only measured.
     """
     spec = state.spec
-    seg = spec.segment(l0, l1)
-    ops = [OPS[spec.blocks[i].kind] for i in seg]
-
-    def collect(k, u, t, jt):
-        # block k, with output cotangent u, input tangent t and jt = J_k t
-        i = seg[k]
-        blk = spec.blocks[i]
-        for group, value in ops[k].djvp(blk, partial(state.aux.get, i), u, jt).items():
-            if (i, group) in grads:
-                grads[(i, group)] += 2.0 * weight * value
-        c = ops[k].djvp_input(blk, state.caches[i], inputs[k], u, t)
-        if c is not None:
-            c *= 2.0 * weight
-            extra[k] = c if extra[k] is None else extra[k] + c
-
-    for stack in stacks:
-        tape: list = [None] * start
-        skip: list[Array] = []
-        if forward:
-            jvp_segment(state, l0, l1, stack, tape=tape, start=start)
-            u = tape[-1]
-            for k in reversed(range(len(seg))):
-                collect(k, u, tape[k], tape.pop())
-                if k:  # the cotangent below the first block is not needed
-                    u = ops[k].vjp(spec.blocks[seg[k]], state.caches[seg[k]], u, skip)
-        else:
-            vjp_segment(state, l0, l1, stack, tape=tape)
-            t = tape[0]
-            for k in range(len(seg)):
-                jt = ops[k].jvp(spec.blocks[seg[k]], state.caches[seg[k]], t, skip)
-                collect(k, tape[k + 1], t, jt)
-                tape[k] = None
-                t = jt
-
-
-def scalar_gradient(state: ForwardState, pairs: dict, kernels: dict, n_v: int) -> dict:
-    """Exact gradient of ``sum_l w_l J_l + sum_b v_b K_b`` with respect to
-    every scalar in ``state.aux``.
-
-    ``pairs`` maps ``l`` to ``(w_l, rng_l)``, where ``J_l`` is the
-    ``(l, l+1)`` norm as :func:`exact_apjn` (``n_v = 0``) or
-    :func:`estimate_segment` with a fresh copy of the stream ``rng_l``
-    measures it on ``state``: the gradient is that of the same estimator,
-    with the same probes. ``kernels`` maps a boundary ``b`` to ``v_b``, the
-    weight of its kernel ``K_b``, the mean square of its activation
-    (:func:`crittuner.losses.kernel_profile`).
-
-    Segments are handled top-down, one at a time, holding only that
-    segment's block inputs and tapes: each probe sweep of its pair is taped
-    and reversed (:func:`_ssq_gradient`), then one pullback through the
-    forward map collects the scalar partials and carries the cotangent to
-    the boundary below.
-    """
-    spec = state.spec
-    grads = {key: 0.0 for key in state.aux.keys()}
     top = spec.n_boundaries - 1
+    js = np.empty(top)
+    grads = {key: 0.0 for key in state.aux.keys()}
     g = np.zeros_like(state.boundary(top))
+    live = True
     for b in range(top, 0, -1):
-        if b in kernels:
-            h = state.boundary(b)
-            g = g + (2.0 * kernels[b] / h.size) * h
-        inputs = segment_inputs(state, b - 1, b)
-        extra: list = [None] * len(inputs)
-        if b - 1 in pairs:
-            weight, rng = pairs[b - 1]
-            forward, start, probes = _probes(state, b - 1, b, n_v, rng)
-            w = weight / (max(n_v, 1) * state.batch_size * spec.boundary_dim(b))
-            for stacks in probes:
-                _ssq_gradient(state, b - 1, b, stacks, forward, start, w, inputs, extra,
-                              grads)
-        g = pullback_segment(state, b - 1, b, g, inputs, extra, grads)
-    return grads
+        l0 = b - 1
+        record = [] if live else None
+        js[l0] = _terms(state, l0, b, n_v, rng.child(l0) if n_v else None, record).mean()
+        weight = dj(float(js[l0]))
+        if not (live and np.isfinite(weight)):
+            grads, live = dict.fromkeys(grads, np.nan), False
+            continue
+        if b in kernels:  # d K_b / d h = 2 h / h.size
+            g = g + (2.0 * kernels[b] / state.boundary(b).size) * state.boundary(b)
+        seg = spec.segment(l0, b)
+        extra: list = [None] * len(seg)
+        w = weight / (max(n_v, 1) * state.batch_size * spec.boundary_dim(b))
+        for k, partials, c in record:
+            for group, value in partials.items():
+                if (seg[k], group) in grads:
+                    grads[(seg[k], group)] += 2.0 * w * value
+            if c is not None:
+                c *= 2.0 * w
+                extra[k] = c if extra[k] is None else extra[k] + c
+        g = pullback_segment(state, l0, b, g, extra, grads)
+    return js, grads
 
 
 def profile_pairs(spec: NetworkSpec, k: int) -> list[tuple[int, int]]:
@@ -356,8 +352,7 @@ def apjn_profile(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Ar
     for (l0, l1) in pairs:
         within = _exact_entries(spec, l0, l1, bsz) <= max_entries
         methods[(l0, l1)] = method if method != "auto" else ("exact" if within else "estimate")
-    per_pair_vals: dict[tuple[int, int], list[float]] = {p: [] for p in pairs}
-    per_pair_err: dict[tuple[int, int], list[float]] = {p: [] for p in pairs}
+    draws: dict[tuple[int, int], list] = {p: [] for p in pairs}  # (value, stderr) per draw
     for s in range(n_param_samples):
         ps = params if s == 0 else init_params(spec, rng.child(10_000 + s))
         state = run_network(spec, ps, aux, batch)
@@ -365,28 +360,19 @@ def apjn_profile(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Ar
             kernels = kernel_profile(state)
         for (l0, l1) in pairs:
             if methods[(l0, l1)] == "exact":
-                val = exact_apjn(state, l0, l1, max_entries=max_entries)
-                err = float("nan")
+                draws[(l0, l1)].append((exact_apjn(state, l0, l1, max_entries=max_entries), None))
             else:
-                val, err = estimate_segment(state, l0, l1, n_v,
-                                            rng.child(20_000 + s * 1000 + l0))
-            per_pair_vals[(l0, l1)].append(val)
-            per_pair_err[(l0, l1)].append(err)
+                draws[(l0, l1)].append(estimate_segment(state, l0, l1, n_v,
+                                                        rng.child(20_000 + s * 1000 + l0)))
     out = []
-    for (l0, l1) in pairs:
-        vals = np.array(per_pair_vals[(l0, l1)])
-        m = methods[(l0, l1)]
-        value = float(vals.mean())
-        if m == "exact":
-            stderr, n_v_used = None, None
-        else:
-            n_v_used = n_v
-            if n_param_samples > 1:
-                stderr = float(vals.std(ddof=1) / np.sqrt(len(vals)))
-            else:
-                stderr = per_pair_err[(l0, l1)][0]
-        out.append(ApjnPair(l0, l1, value, stderr, "estimated" if m == "estimate" else "exact",
-                            n_v_used, bsz, n_param_samples))
+    for (l0, l1), m in methods.items():
+        vals = np.array([v for v, _ in draws[(l0, l1)]])
+        stderr = None if m == "exact" else draws[(l0, l1)][0][1]
+        if m != "exact" and n_param_samples > 1:
+            stderr = float(vals.std(ddof=1) / np.sqrt(len(vals)))
+        out.append(ApjnPair(l0, l1, float(vals.mean()), stderr,
+                            "estimated" if m == "estimate" else "exact",
+                            None if m == "exact" else n_v, bsz, n_param_samples))
     return ApjnReport(out, kernels)
 
 

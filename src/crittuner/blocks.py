@@ -811,6 +811,8 @@ class ForwardState:
     ``caches[i]`` is the cache ``OPS[kind].forward`` returned for block
     ``i``; only that kind's ``jvp`` and ``vjp`` read it. ``boundaries[b]``
     is the flattened activation ``[B, N_b]`` at measurement boundary b.
+    ``inputs[i]`` is the input of block ``i`` where its derivative rules
+    read it and no boundary holds it, else None (see :func:`segment_inputs`).
     """
 
     spec: NetworkSpec
@@ -819,6 +821,7 @@ class ForwardState:
     batch_size: int
     caches: list
     boundaries: list
+    inputs: list
 
     def boundary(self, b: int) -> Array:
         return self.boundaries[b]
@@ -886,14 +889,16 @@ def run_network(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Arr
     bounds: list[Array] = []
     if 0 in cutset:
         bounds.append(flatten_batch(x))
-    caches = []
+    caches, inputs = [], []
     skip: list[Array] = []
     for i, blk in enumerate(spec.blocks):
-        x, cache = OPS[blk.kind].forward(blk, params[i], partial(aux.get, i), x, skip)
+        op = OPS[blk.kind]
+        inputs.append(x if i not in cutset and op.reads_input(blk) else None)
+        x, cache = op.forward(blk, params[i], partial(aux.get, i), x, skip)
         caches.append(cache)
         if (i + 1) in cutset:
             bounds.append(flatten_batch(x))
-    return ForwardState(spec, params, aux, bsz, caches, bounds)
+    return ForwardState(spec, params, aux, bsz, caches, bounds, inputs)
 
 
 def normalize_unit_second_moment(x: Array) -> Array:
@@ -972,34 +977,32 @@ def vjp_segment(state: ForwardState, b0: int, b1: int, cotangent: Array,
 
 def segment_inputs(state: ForwardState, b0: int, b1: int) -> list:
     """Inputs of the blocks between boundaries b0 and b1 that their
-    derivative rules read (None for the others), recomputed from the
-    activation at b0 (boundaries never sit inside a residual branch)."""
+    derivative rules read (None for the others): the activation at a
+    boundary for the block after it, the forward pass's own elsewhere."""
     spec = state.spec
-    x = state.boundary(b0).reshape(state.batch_size, *spec.boundary_shape(b0))
-    inputs: list[Array | None] = []
-    skip: list[Array] = []
-    for i in spec.segment(b0, b1):
-        blk = spec.blocks[i]
-        op = OPS[blk.kind]
-        inputs.append(x if op.reads_input(blk) else None)
-        x, _ = op.forward(blk, state.params[i], partial(state.aux.get, i), x, skip)
+    inputs = state.inputs[spec.cuts[b0]:spec.cuts[b1]]
+    for b in range(b0, b1):
+        blk = spec.blocks[spec.cuts[b]]
+        if OPS[blk.kind].reads_input(blk):
+            x = state.boundary(b).reshape(state.batch_size, *spec.boundary_shape(b))
+            inputs[spec.cuts[b] - spec.cuts[b0]] = x
     return inputs
 
 
 def pullback_segment(state: ForwardState, b0: int, b1: int, cotangent: Array,
-                     inputs: list, extra: list, grads: dict) -> Array:
+                     extra: list, grads: dict) -> Array:
     """Pull a cotangent ``[B, N_b1]`` on the activation at b1 back to b0
     through the forward map.
 
-    ``inputs`` are the segment's block inputs (:func:`segment_inputs`) and
-    ``extra[k]`` a further cotangent on the input of its ``k``-th block, or
-    None; both enter on the way down, which consumes the two lists. Each
-    block's scalar partials are added to ``grads`` where it has the
-    ``(block, group)`` key; other scalars are held fixed. Returns the
+    ``extra[k]`` is a further cotangent on the input of the segment's
+    ``k``-th block, or None; it enters on the way down, which consumes the
+    list. Each block's scalar partials are added to ``grads`` where it has
+    the ``(block, group)`` key; other scalars are held fixed. Returns the
     cotangent ``[B, N_b0]`` at b0.
     """
     spec = state.spec
     seg = spec.segment(b0, b1)
+    inputs = segment_inputs(state, b0, b1)
     g = cotangent.reshape(1, state.batch_size, *spec.boundary_shape(b1))
     gskip: list[Array] = []
     for i in reversed(seg):

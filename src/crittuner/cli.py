@@ -146,16 +146,19 @@ def _trace_json(trace: TuneTrace) -> list[dict]:
     ]
 
 
+def _tune(cfg: ExperimentConfig, seed: int, stream_id: int = 0):
+    """The configured tune; with ``tune.fresh_batch``, step t draws its batch
+    from ``rng.child(90_000 + t)``."""
+    net, rng, batch, params = _setup(cfg, seed, stream_id)
+    return tune(net, params, batch, cfg.tune, rng.child(3),
+                batch_provider=lambda t: make_batch(cfg.data, net.input_shape,
+                                                    rng.child(90_000 + t)))
+
+
 def cmd_tune(cfg: ExperimentConfig, args) -> int:
     seed = cfg.seed if args.seed is None else args.seed
-    net, rng, batch, params = _setup(cfg, seed)
-
-    def provider(t: int):
-        return make_batch(cfg.data, net.input_shape, rng.child(90_000 + t))
-
     try:
-        result = tune(net, params, batch, cfg.tune, rng.child(3),
-                      batch_provider=provider if cfg.tune.fresh_batch else None)
+        result = _tune(cfg, seed)
     except DivergenceError as exc:
         sys.stderr.write(f"divergence: {exc}\n")
         if args.format == "json":
@@ -223,7 +226,6 @@ def _predicted_converged(cfg: ExperimentConfig) -> str:
 def _scan_point(cfg: ExperimentConfig, names, values, seed: int, index: int) -> dict:
     for name, value in zip(names, values):
         cfg = _apply_axis(cfg, name, value)
-    net = _require_network(cfg)
     row = {name: float(v) for name, v in zip(names, values)}
     row["point"] = index
     try:
@@ -234,8 +236,7 @@ def _scan_point(cfg: ExperimentConfig, names, values, seed: int, index: int) -> 
             diverged = _first_non_finite(report) is not None
             row["steps"] = 0
         else:
-            net, rng, batch, params = _setup(cfg, seed, stream_id=index)
-            result = tune(net, params, batch, cfg.tune, rng.child(3))
+            result = _tune(cfg, seed, stream_id=index)
             js = np.asarray(result.trace.steps[-1].js)
             row["steps"] = result.steps_used
         row["j_min"] = float(np.min(js))

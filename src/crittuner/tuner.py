@@ -6,9 +6,10 @@ the loss, steps the scalars down its gradient, and logs everything. The
 tuned scalars are folded into the returned network's sigmas and
 parameters. Gradients are either exact or, for ReLU stacks, the closed
 form ``2 log(J) / a`` per layer. The exact gradient is that of the
-measured estimator itself: same forward pass, same probe vectors, same
-losses and kernels, differentiated through one taped sweep per probe and
-one pullback through the network (:func:`crittuner.apjn.scalar_gradient`).
+measured estimator itself, taken in the same pass: each probe sweep of the
+measurement is taped and reversed at once, and one pullback through the
+network follows (:func:`crittuner.apjn.measure_gradient`). The last step
+only measures.
 
 Also here: the closed-form learning rates for ReLU stacks - the per-layer
 rate that reaches criticality in one step, the time-t stability bound, and
@@ -19,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .apjn import estimate_segment, exact_apjn, scalar_gradient
+from .apjn import estimate_segment, exact_apjn, measure_gradient
 from .blocks import (
     OPS,
     AuxScalars,
@@ -147,8 +149,7 @@ def _pair_list(spec: NetworkSpec) -> range:
 
 def _measure(spec, params, aux, batch, cfg: TuneConfig, rng: RngStream):
     """Forward state, per-pair norms and kernels. Pair l draws its probes
-    from ``rng.child(l)``, so the exact gradient can draw the very probes
-    this measurement used from the same ``rng``."""
+    from ``rng.child(l)``, as :func:`_measure_grad` does."""
     state = run_network(spec, params, aux, batch)
     js = np.empty(spec.n_boundaries - 1)
     for l in _pair_list(spec):
@@ -157,6 +158,24 @@ def _measure(spec, params, aux, batch, cfg: TuneConfig, rng: RngStream):
         else:
             js[l], _ = estimate_segment(state, l, l + 1, cfg.n_v, rng.child(l))
     return state, js, kernel_profile(state)
+
+
+def _measure_grad(spec, params, aux, batch, cfg: TuneConfig, rng: RngStream):
+    """The norms and kernels :func:`_measure` takes, and the exact gradient
+    of their loss, from the same probe sweeps (:func:`measure_gradient`)."""
+    state = run_network(spec, params, aux, batch)
+    ks = kernel_profile(state)
+    at_ones = _loss(cfg, np.ones(len(ks) - 1), ks)  # kernel partials do not read the norms
+    kernels = {} if at_ones is None or at_ones.dk is None else dict(enumerate(at_ones.dk.tolist()))
+    js, grads = measure_gradient(state, cfg.n_v, rng, partial(_dj, cfg), kernels)
+    return js, ks, grads
+
+
+def _dj(cfg: TuneConfig, j: float) -> float:
+    """The loss's partial in one pair's norm ``j``, which no other norm
+    enters (the kernel loss has the log loss's); NaN outside its domain."""
+    ok = math.isfinite(j) and (j > 0 or cfg.loss == "jsl")
+    return float((jsl if cfg.loss == "jsl" else jll)([j]).dj[0]) if ok else math.nan
 
 
 def _loss(cfg: TuneConfig, js: np.ndarray, ks: np.ndarray) -> LossValue | None:
@@ -194,47 +213,39 @@ def _pair_weight_blocks(spec: NetworkSpec, pairs) -> dict[int, int]:
 
 
 def grad_aux(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Array,
-             cfg: TuneConfig, rng: RngStream, *, measured: tuple | None = None,
-             trace: TuneTrace | None = None) -> dict:
-    """Gradient of the configured loss w.r.t. every tunable scalar.
-
-    ``rng`` is the stream the norms are measured with; ``measured`` may
-    pass in that measurement, the ``(state, js, ks)`` triple of
-    :func:`_measure` on ``aux`` and ``batch``, which is otherwise taken
-    here. Exact mode differentiates the loss of that measurement: the same
-    probes, kernels and loss. Analytic mode uses the ReLU closed form: the
-    weight scalar of the block generating pair l gets ``2 log(J_l) / a``
-    (times ``1 + lam`` for the kernel-augmented loss at sigma_b = 0) and
-    bias scalars get zero.
+             cfg: TuneConfig, rng: RngStream, *, trace: TuneTrace | None = None) -> dict:
+    """Gradient of the configured loss w.r.t. every tunable scalar, at the
+    norms measured on ``aux`` and ``batch`` with the stream ``rng``: exact
+    (:func:`_measure_grad`), or the ReLU closed form, where the weight
+    scalar of the block generating pair l gets ``2 log(J_l) / a`` (times
+    ``1 + lam`` for the kernel-augmented loss at sigma_b = 0) and bias
+    scalars get zero.
     """
-    pairs = _pair_list(spec)
-    if measured is None:
-        measured = _measure(spec, params, aux, batch, cfg, rng)
-    state, js, ks = measured
+    trace = trace or TuneTrace(aux.keys())
     if cfg.grad_mode == "analytic-relu":
-        if not np.all(np.isfinite(js) & (js > 0)):
-            raise DivergenceError("measured norms left the positive domain",
-                                  trace or TuneTrace(aux.keys()))
-        return _grad_analytic(spec, aux, cfg, pairs, js)
-    loss = _loss(cfg, js, ks)
-    if loss is None:
-        raise DivergenceError("loss non-finite", trace or TuneTrace(aux.keys()))
-    terms = {l: (float(loss.dj[l]), rng.child(l) if cfg.n_v else None) for l in pairs}
-    kernels = {} if loss.dk is None else {b: float(v) for b, v in enumerate(loss.dk)}
-    grads = scalar_gradient(state, terms, kernels, cfg.n_v)
+        _, js, _ = _measure(spec, params, aux, batch, cfg, rng)
+        return _grad_analytic(spec, aux, cfg, js, trace)
+    js, ks, grads = _measure_grad(spec, params, aux, batch, cfg, rng)
+    if _loss(cfg, js, ks) is None:
+        raise DivergenceError("loss non-finite", trace)
+    return _finite_grads(grads, trace)
+
+
+def _finite_grads(grads: dict, trace: TuneTrace) -> dict:
     for key, value in grads.items():
         if not math.isfinite(value):
-            raise DivergenceError(f"gradient non-finite at {key}",
-                                  trace or TuneTrace(aux.keys()))
+            raise DivergenceError(f"gradient non-finite at {key}", trace)
     return grads
 
 
-def _grad_analytic(spec: NetworkSpec, aux: AuxScalars, cfg: TuneConfig, pairs, js):
+def _grad_analytic(spec: NetworkSpec, aux: AuxScalars, cfg: TuneConfig, js, trace: TuneTrace):
+    if not np.all(np.isfinite(js) & (js > 0)):
+        raise DivergenceError("measured norms left the positive domain", trace)
     if cfg.loss == "jkl":
         sigmas_b = [b.sigma_b for b in spec.blocks if "W" in OPS[b.kind].groups]
         if any(s != 0 for s in sigmas_b):
             raise ValueError("analytic gradients for the kernel loss need sigma_b = 0")
-    owners = _pair_weight_blocks(spec, pairs)
+    owners = _pair_weight_blocks(spec, _pair_list(spec))
     block_of = {blk: l for l, blk in owners.items()}
     grads = {}
     for (i, g) in aux.keys():
@@ -277,11 +288,12 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
     sigma_of_pair = {l: spec.blocks[i].sigma_w for l, i in owners.items()}
 
     def measure(t: int, aux_now: AuxScalars):
-        # step t's batch, stream and forward state, reused by its gradient
+        # step t's norms and kernels, with their exact gradient where one is taken
         step_batch = batch_provider(t) if cfg.fresh_batch and batch_provider is not None else batch
-        step_rng = rng.child(t)
-        state, js, ks = _measure(spec, params, aux_now, step_batch, cfg, step_rng)
-        return step_batch, step_rng, state, js, ks
+        if cfg.grad_mode == "exact" and t < cfg.t_max:
+            return _measure_grad(spec, params, aux_now, step_batch, cfg, rng.child(t))
+        _, js, ks = _measure(spec, params, aux_now, step_batch, cfg, rng.child(t))
+        return js, ks, None
 
     def need_pair_sigmas():
         missing = [l for l in pairs if l not in sigma_of_pair]
@@ -289,15 +301,15 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
             raise ValueError(f"schedule needs one weight block per pair; pairs {missing} differ")
 
     t = 0
-    step_batch, step_rng, state, js, ks = measure(t, aux)
+    js, ks, grads = measure(t, aux)
     loss = _loss_of(cfg, js, ks)
     trace.append(TuneStep(t, loss, js.copy(), aux.as_vector(), 0.0))
     if not math.isfinite(loss):
         raise DivergenceError("initial loss non-finite", trace)
 
     while t < cfg.t_max and loss > cfg.eps:
-        grads = grad_aux(spec, params, aux, step_batch, cfg, step_rng,
-                         measured=(state, js, ks), trace=trace)
+        grads = (_grad_analytic(spec, aux, cfg, js, trace)
+                 if cfg.grad_mode == "analytic-relu" else _finite_grads(grads, trace))
         if cfg.schedule == "constant":
             eta_used = cfg.eta
             rates = {key: cfg.eta for key in keys}
@@ -322,15 +334,13 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
         new_vals = {key: aux.get(*key) - rates[key] * grads.get(key, 0.0) for key in keys}
         aux = AuxScalars(new_vals).clamped(*AUX_CLAMP)
         t += 1
-        state = None  # hold one forward state at a time
-        step_batch, step_rng, state, js, ks = measure(t, aux)
+        js, ks, grads = measure(t, aux)
         loss = _loss_of(cfg, js, ks)
         if not math.isfinite(loss):
             trace.append(TuneStep(t, float("inf"), js.copy(), aux.as_vector(), eta_used))
             raise DivergenceError(f"loss diverged at step {t}", trace)
         trace.append(TuneStep(t, loss, js.copy(), aux.as_vector(), eta_used))
 
-    state = None  # nor keep it while folding the scalars in
     return TuneResult(scale_spec_sigmas(spec, aux), scale_params(spec, params, aux),
                       AuxScalars({k: 1.0 for k in aux.values}), trace, loss <= cfg.eps, t)
 

@@ -9,6 +9,7 @@ loss under common random numbers.
 """
 
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from crittuner.blocks import (
     residual_close,
     residual_open,
     run_network,
+    segment_inputs,
     vjp_segment,
 )
 from crittuner.presets import prebn_residual_mlp, resmlp_toy
@@ -125,6 +127,43 @@ def test_stacked_probes_match_loop():
     for s in range(4):
         single = jvp_segment(state, 0, 1, u[s:s + 1])
         assert np.allclose(stacked[s], single[0], rtol=1e-13)
+
+
+def _replayed_inputs(state, b0, b1):
+    """The block inputs of the (b0, b1) segment that their derivative rules
+    read, recomputed by a forward replay from the activation at b0."""
+    spec = state.spec
+    x = state.boundary(b0).reshape(state.batch_size, *spec.boundary_shape(b0))
+    inputs, skip = [], []
+    for i in spec.segment(b0, b1):
+        blk = spec.blocks[i]
+        op = OPS[blk.kind]
+        inputs.append(x if op.reads_input(blk) else None)
+        x, _ = op.forward(blk, state.params[i], partial(state.aux.get, i), x, skip)
+    return inputs
+
+
+def test_kept_block_inputs_equal_a_forward_replay():
+    # the gradient reads block inputs off the forward pass; a replay from
+    # each segment's lower boundary gives the very same arrays
+    kept = 0
+    for name, spec in CASES.items():
+        rng = RngStream(zlib.crc32(name.encode()) % 1000)
+        aux = AuxScalars.ones(spec, "all")
+        for n, key in enumerate(aux.keys()):
+            aux.values[key] = 0.8 + 0.07 * n
+        x = rng.child(2).normal((4, *spec.input_shape))
+        state = run_network(spec, init_params(spec, rng.child(1)), aux, x)
+        for b0 in range(spec.n_boundaries - 1):
+            for b1 in range(b0 + 1, spec.n_boundaries):
+                got, want = segment_inputs(state, b0, b1), _replayed_inputs(state, b0, b1)
+                assert len(got) == len(want), (name, b0, b1)
+                for k, (a, b) in enumerate(zip(got, want)):
+                    assert (a is None) == (b is None), (name, b0, b1, k)
+                    if a is not None:
+                        assert a.shape == b.shape and bool(np.all(a == b)), (name, b0, b1, k)
+        kept += sum(a is not None for a in state.inputs)
+    assert kept > 0   # some interior block input is kept, not only boundaries
 
 
 def test_every_block_kind_has_a_case():

@@ -219,6 +219,27 @@ def test_one_point_scan_matches_measure(mlp_cfg, tmp_path):
     assert np.allclose(svals, mvals, rtol=1e-12)
 
 
+@pytest.mark.parametrize("fresh", ["true", "false"])
+def test_one_point_tune_scan_matches_tune(fresh, mlp_cfg, tmp_path):
+    # a tune-mode scan point draws its per-step batches as `tune` does
+    def last_js(text, command):
+        cfg = tmp_path / f"{command}-{fresh}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / f"{command}-{fresh}.json"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
+        doc = json.loads(out.read_text())
+        return doc[0]["js"] if command == "scan" else doc["trace"][-1]["js"]
+
+    base = MLP_CFG.replace("tune.n_v = 0", "tune.n_v = 2").replace("tune.steps = 8",
+                                                                     "tune.steps = 3")
+    text = base + f"tune.fresh_batch = {fresh}\n"
+    scanned = last_js(text + "scan.mode = tune\nscan.axis.eta = 0.1 0.1 1\n", "scan")
+    tuned = last_js(text, "tune")
+    assert scanned == tuned
+    fixed = last_js(base + "tune.fresh_batch = false\n", "tune")
+    assert (scanned == fixed) == (fresh == "false")
+
+
 def test_verify_subcommand_runs_fast_suites(tmp_path):
     cfg = tmp_path / "v.cfg"
     cfg.write_text("seed = 0\nverify.suites = kernel-fixed-point eta-scaling "

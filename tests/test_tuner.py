@@ -3,9 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from crittuner import apjn, blocks, tuner
 from crittuner.apjn import exact_apjn
-from crittuner.blocks import AuxScalars, init_params, run_network, vjp_segment
-from crittuner.presets import linear_mlp, relu_mlp
+from crittuner.blocks import (
+    AuxScalars,
+    NetworkSpec,
+    activation,
+    dense,
+    init_params,
+    run_network,
+    vjp_segment,
+)
+from crittuner.config import DataConfig
+from crittuner.data import make_batch
+from crittuner.presets import conv_bn_relu_stack, linear_mlp, relu_mlp, resmlp_toy
 from crittuner.tensor import RngStream
 from crittuner.tuner import (
     DivergenceError,
@@ -181,6 +192,114 @@ def test_divergence_raises_with_trace():
             np.seterr(all="warn")
     assert len(exc_info.value.trace.steps) >= 1
     assert np.isfinite(exc_info.value.trace.steps[0].loss)
+
+
+def _record_sweeps(monkeypatch):
+    """Log each forward pass the tuner starts, as ("run",), and each segment
+    sweep, as ("sweep", b0, b1, taped)."""
+    log = []
+
+    def run(*args, **kwargs):
+        log.append(("run",))
+        return blocks.run_network(*args, **kwargs)
+
+    def sweeper(fn):
+        def sweep(state, b0, b1, stack, tape=None, **kwargs):
+            log.append(("sweep", b0, b1, tape is not None))
+            return fn(state, b0, b1, stack, tape, **kwargs)
+        return sweep
+
+    monkeypatch.setattr(tuner, "run_network", run)
+    monkeypatch.setattr(apjn, "jvp_segment", sweeper(blocks.jvp_segment))
+    monkeypatch.setattr(apjn, "vjp_segment", sweeper(blocks.vjp_segment))
+    return log
+
+
+def _sweeps_per_step(log):
+    steps = []
+    for event in log:
+        if event[0] == "run":
+            steps.append([])
+        else:
+            steps[-1].append(event[1:])
+    return steps
+
+
+@pytest.mark.parametrize("name", ["conv-bn", "resmlp"])
+def test_exact_tune_sweeps_each_probe_once(name, monkeypatch):
+    # a step that takes a gradient tapes and reverses the sweeps of its own
+    # measurement; the last step only measures
+    if name == "conv-bn":
+        spec, loss = conv_bn_relu_stack((3, 4, 4), 1.5, image=(2, 5, 5)), "jkl"
+    else:
+        spec, loss = resmlp_toy(1, 6, 1.2, mu=0.9, eps_ls=0.5, image=(2, 6, 6), patch=3,
+                                hidden_mult=2), "jll"
+    x, params, rng = _setup(spec, 16, 4)
+    cfg = TuneConfig(loss=loss, lam=0.05 if loss == "jkl" else 0.0, eta=0.01, t_max=2,
+                     n_v=2, aux_groups="all")
+    log = _record_sweeps(monkeypatch)
+    res = tune(spec, params, x, cfg, rng.child(3))
+    assert res.steps_used == 2
+    steps = _sweeps_per_step(log)
+    n_pairs = spec.n_boundaries - 1
+    assert len(steps) == 3
+    for t, sweeps in enumerate(steps):
+        assert len(sweeps) == n_pairs * cfg.n_v, (t, sweeps)
+        assert sorted({b0 for b0, _, _ in sweeps}) == list(range(n_pairs))
+        assert all(taped == (t < cfg.t_max) for _, _, taped in sweeps), (t, sweeps)
+
+
+def _overflowing_stack():
+    # sigma_w = 1e6 overflows the float64 range about halfway up the stack
+    spec = NetworkSpec(sum(((dense(20, 1e6), activation("relu", boundary=True))
+                            for _ in range(60)), ()), (20,))
+    rng = RngStream(3)
+    x = make_batch(DataConfig(batch=4), spec.input_shape, rng.child(1))
+    return spec, x, init_params(spec, rng.child(2)), rng
+
+
+@pytest.mark.parametrize("n_v", [0, 2])
+def test_exact_tune_on_non_finite_boundaries_stops_at_step_zero(n_v, monkeypatch):
+    spec, x, params, rng = _overflowing_stack()
+    cfg = TuneConfig(loss="jll", eta=0.1, t_max=3, n_v=n_v)
+    log = _record_sweeps(monkeypatch)
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError, match="^initial loss non-finite$") as exc_info:
+            tune(spec, params, x, cfg, rng.child(3))
+    steps = exc_info.value.trace.steps
+    assert len(steps) == 1
+    assert np.all(np.isfinite(steps[0].js[:52]))
+    assert np.all(np.isnan(steps[0].js[52:]))
+    swept = {event[1] for event in log if event[0] == "sweep"}
+    assert swept == set(range(52)), sorted(swept)
+
+
+@pytest.mark.parametrize("n_v", [0, 2])
+def test_exact_gradient_of_non_finite_boundaries_diverges(n_v):
+    spec, x, params, rng = _overflowing_stack()
+    cfg = TuneConfig(loss="jll", eta=0.1, n_v=n_v)
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError, match="^loss non-finite$"):
+            grad_aux(spec, params, AuxScalars.ones(spec), x, cfg, rng.child(3))
+
+
+@pytest.mark.parametrize("n_v", [0, 2])
+def test_exact_divergence_raises_with_trace(n_v):
+    # the exact-gradient twin of test_divergence_raises_with_trace: a huge
+    # rate slams the scalars to the clamp ceiling, the forward pass then
+    # overflows at depth and the log loss leaves its domain at a later step
+    spec = relu_mlp(70, 8, 0.3)
+    x, params, rng = _setup(spec, 9, 4)
+    cfg = TuneConfig(loss="jll", eta=1e6, t_max=5, n_v=n_v)
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError) as exc_info:
+            tune(spec, params, x, cfg, rng.child(3))
+    steps = exc_info.value.trace.steps
+    assert len(steps) >= 2
+    assert str(exc_info.value) == f"loss diverged at step {steps[-1].t}"
+    assert np.isfinite(steps[0].loss)
+    assert steps[-1].loss == float("inf")
+    assert not np.all(np.isfinite(steps[-1].js) & (steps[-1].js > 0))
 
 
 def test_monotone_contraction_under_bound():
