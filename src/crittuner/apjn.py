@@ -12,10 +12,11 @@ its weight rows, which are that block's image of the identity bit for bit.
 ``estimate_segment`` is the unbiased Monte-Carlo version driven by Gaussian
 probe vectors, one sweep per probe: rows on the upper boundary pulled back,
 or, where batch norm couples the segment, tangents on the lower boundary
-pushed forward. ``measure_gradient`` measures every adjacent pair either
-way and, from the same sweeps, taped and reversed at once, gives the exact
-gradient in the twin network's scalars. A pair with a non-finite boundary
-activation measures NaN, since a ReLU mask would read NaN as inactive.
+pushed forward. ``measure_pairs`` measures every adjacent pair either way
+and, when asked, gives the exact gradient in the twin network's scalars
+from the same sweeps, taped and reversed at once; otherwise it tapes
+nothing. A pair with a non-finite boundary activation measures NaN, since
+a ReLU mask would read NaN as inactive.
 
 Networks without batch normalization have batch-block-diagonal Jacobians,
 so both paths collapse the batch index and a single broadcast basis covers
@@ -271,13 +272,16 @@ def estimate_segment(state: ForwardState, l0: int, l1: int, n_v: int,
     return float(terms.mean()), stderr
 
 
-def measure_gradient(state: ForwardState, n_v: int, rng: RngStream | None,
-                     dj: Callable[[float], float], kernels: dict) -> tuple[Array, dict]:
+def measure_pairs(state: ForwardState, n_v: int, rng: RngStream | None,
+                  dj: Callable[[float], float] | None = None,
+                  kernels: dict | None = None) -> tuple[Array, dict | None]:
     """Norm ``J_l`` of every (l, l+1) pair, as :func:`exact_apjn` (``n_v =
     0``) or :func:`estimate_segment` with ``rng.child(l)`` measures it on
-    ``state``, and the exact gradient, with the same basis or probes, of
-    ``sum_l dj(J_l) J_l + sum_b kernels[b] K_b`` in every scalar of
-    ``state.aux`` (``K_b`` the kernel, :func:`~crittuner.losses.kernel_profile`).
+    ``state``, and, given ``dj``, the exact gradient, with the same basis or
+    probes, of ``sum_l dj(J_l) J_l + sum_b kernels[b] K_b`` in every scalar
+    of ``state.aux`` (``K_b`` the kernel,
+    :func:`~crittuner.losses.kernel_profile`); without ``dj`` the gradient
+    is None and nothing is taped.
 
     Segments go top-down, one segment's tapes and records at a time: each
     probe sweep of a pair is taped and reversed at once, the partials are
@@ -289,18 +293,20 @@ def measure_gradient(state: ForwardState, n_v: int, rng: RngStream | None,
     spec = state.spec
     top = spec.n_boundaries - 1
     js = np.empty(top)
-    grads = {key: 0.0 for key in state.aux.keys()}
-    g = np.zeros_like(state.boundary(top))
-    live = True
+    live = dj is not None
+    grads = dict.fromkeys(state.aux.keys(), 0.0) if live else None
+    g = np.zeros_like(state.boundary(top)) if live else None
     for b in range(top, 0, -1):
         l0 = b - 1
         record = [] if live else None
         js[l0] = _terms(state, l0, b, n_v, rng.child(l0) if n_v else None, record).mean()
+        if not live:
+            continue
         weight = dj(float(js[l0]))
-        if not (live and np.isfinite(weight)):
+        if not np.isfinite(weight):
             grads, live = dict.fromkeys(grads, np.nan), False
             continue
-        if b in kernels:  # d K_b / d h = 2 h / h.size
+        if kernels and b in kernels:  # d K_b / d h = 2 h / h.size
             g = g + (2.0 * kernels[b] / state.boundary(b).size) * state.boundary(b)
         seg = spec.segment(l0, b)
         extra: list = [None] * len(seg)

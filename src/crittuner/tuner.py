@@ -4,12 +4,14 @@ Each step measures the Jacobian norm of every (l, l+1) pair (and the
 kernels, for the kernel-augmented loss) on a fixed parameter draw, forms
 the loss, steps the scalars down its gradient, and logs everything. The
 tuned scalars are folded into the returned network's sigmas and
-parameters. Gradients are either exact or, for ReLU stacks, the closed
-form ``2 log(J) / a`` per layer. The exact gradient is that of the
-measured estimator itself, taken in the same pass: each probe sweep of the
+parameters. Every step measures through one function,
+:func:`crittuner.apjn.measure_pairs`, which takes the gradient only when
+asked. Gradients are either exact or, for ReLU stacks, the closed form
+``2 log(J) / a`` per layer. The exact gradient is that of the measured
+estimator itself, taken in the same pass: each probe sweep of the
 measurement is taped and reversed at once, and one pullback through the
-network follows (:func:`crittuner.apjn.measure_gradient`). The last step
-only measures.
+network follows. The last step, and every step of the closed form, only
+measures.
 
 Also here: the closed-form learning rates for ReLU stacks - the per-layer
 rate that reaches criticality in one step, the time-t stability bound, and
@@ -25,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .apjn import estimate_segment, exact_apjn, measure_gradient
+# estimate_segment and exact_apjn are unused here, but benchmarks trace them as tuner names
+from .apjn import estimate_segment, exact_apjn, measure_pairs  # noqa: F401
 from .blocks import (
     OPS,
     AuxScalars,
@@ -142,32 +145,18 @@ class TuneResult:
 # measurement plumbing
 # --------------------------------------------------------------------------
 
-def _pair_list(spec: NetworkSpec) -> range:
-    """Every (l, l+1) pair, by its lower boundary l."""
-    return range(spec.n_boundaries - 1)
-
-
-def _measure(spec, params, aux, batch, cfg: TuneConfig, rng: RngStream):
-    """Forward state, per-pair norms and kernels. Pair l draws its probes
-    from ``rng.child(l)``, as :func:`_measure_grad` does."""
-    state = run_network(spec, params, aux, batch)
-    js = np.empty(spec.n_boundaries - 1)
-    for l in _pair_list(spec):
-        if cfg.n_v == 0:
-            js[l] = exact_apjn(state, l, l + 1)
-        else:
-            js[l], _ = estimate_segment(state, l, l + 1, cfg.n_v, rng.child(l))
-    return state, js, kernel_profile(state)
-
-
-def _measure_grad(spec, params, aux, batch, cfg: TuneConfig, rng: RngStream):
-    """The norms and kernels :func:`_measure` takes, and the exact gradient
-    of their loss, from the same probe sweeps (:func:`measure_gradient`)."""
+def _measure(spec, params, aux, batch, cfg: TuneConfig, rng: RngStream, grad: bool):
+    """Per-pair norms, kernels and, when ``grad``, the exact gradient of
+    their loss from the same probe sweeps, else None (:func:`measure_pairs`;
+    pair l draws its probes from ``rng.child(l)``)."""
     state = run_network(spec, params, aux, batch)
     ks = kernel_profile(state)
-    at_ones = _loss(cfg, np.ones(len(ks) - 1), ks)  # kernel partials do not read the norms
-    kernels = {} if at_ones is None or at_ones.dk is None else dict(enumerate(at_ones.dk.tolist()))
-    js, grads = measure_gradient(state, cfg.n_v, rng, partial(_dj, cfg), kernels)
+    dj = kernels = None
+    if grad:
+        at_ones = _loss(cfg, np.ones(len(ks) - 1), ks)  # kernel partials do not read the norms
+        kernels = {} if at_ones is None or at_ones.dk is None else dict(enumerate(at_ones.dk.tolist()))
+        dj = partial(_dj, cfg)
+    js, grads = measure_pairs(state, cfg.n_v, rng, dj, kernels)
     return js, ks, grads
 
 
@@ -201,58 +190,55 @@ def _loss_of(cfg: TuneConfig, js: np.ndarray, ks: np.ndarray) -> float:
     return float("inf") if value is None else value.total
 
 
-def _pair_weight_blocks(spec: NetworkSpec, pairs) -> dict[int, int]:
-    """pair -> index of its single weight-bearing block (analytic mode)."""
-    owner: dict[int, int] = {}
-    for l in pairs:
+def _pair_of_weight_block(spec: NetworkSpec) -> dict[int, int]:
+    """Weight-bearing block -> the pair it generates, for every pair with
+    exactly one such block."""
+    pair_of: dict[int, int] = {}
+    for l in range(spec.n_boundaries - 1):
         weighted = [i for i in spec.segment(l, l + 1)
                     if "W" in OPS[spec.blocks[i].kind].groups]
         if len(weighted) == 1:
-            owner[l] = weighted[0]
-    return owner
+            pair_of[weighted[0]] = l
+    return pair_of
 
 
 def grad_aux(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Array,
-             cfg: TuneConfig, rng: RngStream, *, trace: TuneTrace | None = None) -> dict:
+             cfg: TuneConfig, rng: RngStream) -> dict:
     """Gradient of the configured loss w.r.t. every tunable scalar, at the
-    norms measured on ``aux`` and ``batch`` with the stream ``rng``: exact
-    (:func:`_measure_grad`), or the ReLU closed form, where the weight
-    scalar of the block generating pair l gets ``2 log(J_l) / a`` (times
-    ``1 + lam`` for the kernel-augmented loss at sigma_b = 0) and bias
-    scalars get zero.
+    norms measured on ``aux`` and ``batch`` with the stream ``rng``: exact,
+    or the ReLU closed form, where the weight scalar of the block
+    generating pair l gets ``2 log(J_l) / a`` (times ``1 + lam`` for the
+    kernel-augmented loss at sigma_b = 0) and bias scalars get zero.
     """
-    trace = trace or TuneTrace(aux.keys())
-    if cfg.grad_mode == "analytic-relu":
-        _, js, _ = _measure(spec, params, aux, batch, cfg, rng)
-        return _grad_analytic(spec, aux, cfg, js, trace)
-    js, ks, grads = _measure_grad(spec, params, aux, batch, cfg, rng)
-    if _loss(cfg, js, ks) is None:
+    exact = cfg.grad_mode == "exact"
+    js, ks, grads = _measure(spec, params, aux, batch, cfg, rng, exact)
+    trace = TuneTrace(aux.keys())
+    if exact and _loss(cfg, js, ks) is None:
         raise DivergenceError("loss non-finite", trace)
-    return _finite_grads(grads, trace)
+    return _step_grads(spec, aux, cfg, js, grads, _pair_of_weight_block(spec), trace)
 
 
-def _finite_grads(grads: dict, trace: TuneTrace) -> dict:
-    for key, value in grads.items():
-        if not math.isfinite(value):
-            raise DivergenceError(f"gradient non-finite at {key}", trace)
-    return grads
-
-
-def _grad_analytic(spec: NetworkSpec, aux: AuxScalars, cfg: TuneConfig, js, trace: TuneTrace):
+def _step_grads(spec: NetworkSpec, aux: AuxScalars, cfg: TuneConfig, js, grads: dict | None,
+                pair_of: dict[int, int], trace: TuneTrace) -> dict:
+    """The gradient a step moves by: the exact ``grads`` measured with the
+    norms ``js``, checked finite, or the ReLU closed form at ``js``."""
+    if cfg.grad_mode == "exact":
+        for key, value in grads.items():
+            if not math.isfinite(value):
+                raise DivergenceError(f"gradient non-finite at {key}", trace)
+        return grads
     if not np.all(np.isfinite(js) & (js > 0)):
         raise DivergenceError("measured norms left the positive domain", trace)
     if cfg.loss == "jkl":
         sigmas_b = [b.sigma_b for b in spec.blocks if "W" in OPS[b.kind].groups]
         if any(s != 0 for s in sigmas_b):
             raise ValueError("analytic gradients for the kernel loss need sigma_b = 0")
-    owners = _pair_weight_blocks(spec, _pair_list(spec))
-    block_of = {blk: l for l, blk in owners.items()}
     grads = {}
     for (i, g) in aux.keys():
-        if g != "W" or i not in block_of:
+        if g != "W" or i not in pair_of:
             grads[(i, g)] = 0.0
             continue
-        jl = js[block_of[i]]
+        jl = js[pair_of[i]]
         a = aux.get(i, "W")
         if cfg.loss == "jsl":
             grads[(i, g)] = (2.0 * jl / a) * (jl - 1.0)
@@ -278,22 +264,20 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
     sigmas and parameters, which leaves its scalars at 1. A non-finite loss
     raises :class:`DivergenceError` carrying the partial trace.
     """
-    pairs = _pair_list(spec)
+    pairs = range(spec.n_boundaries - 1)
     aux = AuxScalars.ones(spec, cfg.aux_groups)
     keys = aux.keys()
     if not keys:
         raise ValueError("no tunable scalars for the chosen aux groups")
     trace = TuneTrace(keys)
-    owners = _pair_weight_blocks(spec, pairs)
-    sigma_of_pair = {l: spec.blocks[i].sigma_w for l, i in owners.items()}
+    pair_of = _pair_of_weight_block(spec)
+    sigma_of_pair = {l: spec.blocks[i].sigma_w for i, l in pair_of.items()}
 
     def measure(t: int, aux_now: AuxScalars):
         # step t's norms and kernels, with their exact gradient where one is taken
         step_batch = batch_provider(t) if cfg.fresh_batch and batch_provider is not None else batch
-        if cfg.grad_mode == "exact" and t < cfg.t_max:
-            return _measure_grad(spec, params, aux_now, step_batch, cfg, rng.child(t))
-        _, js, ks = _measure(spec, params, aux_now, step_batch, cfg, rng.child(t))
-        return js, ks, None
+        return _measure(spec, params, aux_now, step_batch, cfg, rng.child(t),
+                        cfg.grad_mode == "exact" and t < cfg.t_max)
 
     def need_pair_sigmas():
         missing = [l for l in pairs if l not in sigma_of_pair]
@@ -308,8 +292,7 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
         raise DivergenceError("initial loss non-finite", trace)
 
     while t < cfg.t_max and loss > cfg.eps:
-        grads = (_grad_analytic(spec, aux, cfg, js, trace)
-                 if cfg.grad_mode == "analytic-relu" else _finite_grads(grads, trace))
+        grads = _step_grads(spec, aux, cfg, js, grads, pair_of, trace)
         if cfg.schedule == "constant":
             eta_used = cfg.eta
             rates = {key: cfg.eta for key in keys}
@@ -326,10 +309,9 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
             for l in pairs:
                 per_pair[l] = eta_one_step(js[l], sigma_of_pair[l],
                                            loss=cfg.loss if cfg.loss != "jkl" else "jll")
-            block_of = {blk: l for l, blk in owners.items()}
             for key in keys:
                 i, _ = key
-                rates[key] = per_pair.get(block_of.get(i, -1), 0.0)
+                rates[key] = per_pair.get(pair_of.get(i, -1), 0.0)
             eta_used = min(per_pair.values())
         new_vals = {key: aux.get(*key) - rates[key] * grads.get(key, 0.0) for key in keys}
         aux = AuxScalars(new_vals).clamped(*AUX_CLAMP)

@@ -191,10 +191,50 @@ def _fd_grad(spec, params, aux, x, cfg, rng, h=1e-5):
             vec = base.copy()
             vec[n] = base[n] * (1.0 + sign * h)
             shifted = AuxScalars(dict(zip(aux.keys(), vec)))
-            _, js, ks = tuner._measure(spec, params, shifted, x, cfg, rng)
+            js, ks, _ = tuner._measure(spec, params, shifted, x, cfg, rng, False)
             losses.append(tuner._loss_of(cfg, js, ks))
         grads[key] = (losses[0] - losses[1]) / (2.0 * base[n] * h)
     return grads
+
+
+@pytest.mark.parametrize("n_v", [0, 2])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_measure_pairs_without_dj_tapes_nothing(name, n_v, monkeypatch):
+    # the norms are those of the taped pass and of the single-pair
+    # functions, bit for bit; no sweep is taped and nothing is pulled back
+    spec = CASES[name]
+    rng = RngStream(zlib.crc32(name.encode()) % 1000)
+    aux = AuxScalars.ones(spec, "all")
+    for n, key in enumerate(aux.keys()):
+        aux.values[key] = 0.8 + 0.07 * n
+    x = rng.child(2).normal((4, *spec.input_shape))
+    state = run_network(spec, init_params(spec, rng.child(1)), aux, x)
+    probes = rng.child(3) if n_v else None
+    taped, taped_grads = apjn.measure_pairs(state, n_v, probes, lambda j: 1.0, {})
+    assert taped_grads is not None
+    one_by_one = np.array([apjn.exact_apjn(state, l, l + 1) if n_v == 0 else
+                           apjn.estimate_segment(state, l, l + 1, n_v, probes.child(l))[0]
+                           for l in range(spec.n_boundaries - 1)])
+
+    log = []   # (b0, b1, taped) per sweep, as the tuner tests record them
+
+    def sweeper(fn):
+        def sweep(state, b0, b1, stack, tape=None, **kwargs):
+            log.append((b0, b1, tape is not None))
+            return fn(state, b0, b1, stack, tape, **kwargs)
+        return sweep
+
+    def no_pullback(*args):
+        raise AssertionError("pullback without a gradient")
+
+    monkeypatch.setattr(apjn, "jvp_segment", sweeper(jvp_segment))
+    monkeypatch.setattr(apjn, "vjp_segment", sweeper(vjp_segment))
+    monkeypatch.setattr(apjn, "pullback_segment", no_pullback)
+    js, grads = apjn.measure_pairs(state, n_v, probes)
+    assert grads is None
+    assert js.tobytes() == taped.tobytes() == one_by_one.tobytes(), (js, taped, one_by_one)
+    assert {b0 for b0, _, _ in log} == set(range(spec.n_boundaries - 1))
+    assert not any(taped for _, _, taped in log), log
 
 
 def _probes_on(side):
@@ -240,7 +280,7 @@ def test_exact_gradient_matches_central_differences(name, loss, probes, monkeypa
     if n_v and probes == ("input" if spec.has_batchnorm else "output"):
         # coupled pairs tape forward input probes, the others reverse output probes
         state = run_network(spec, params, aux, x)
-        for l in tuner._pair_list(spec):
+        for l in range(spec.n_boundaries - 1):
             forward, _, _ = _probes(state, l, l + 1, n_v, rng.child(3).child(l))
             assert forward == spec.segment_has_batchnorm(l, l + 1), (name, l)
     elif n_v:

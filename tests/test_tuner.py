@@ -225,18 +225,22 @@ def _sweeps_per_step(log):
     return steps
 
 
-@pytest.mark.parametrize("name", ["conv-bn", "resmlp"])
+@pytest.mark.parametrize("name", ["conv-bn", "resmlp", "relu-analytic"])
 def test_exact_tune_sweeps_each_probe_once(name, monkeypatch):
-    # a step that takes a gradient tapes and reverses the sweeps of its own
-    # measurement; the last step only measures
+    # a step that takes an exact gradient tapes and reverses the sweeps of
+    # its own measurement; the last step, and every closed-form step, only
+    # measures
+    grad_mode = "exact"
     if name == "conv-bn":
         spec, loss = conv_bn_relu_stack((3, 4, 4), 1.5, image=(2, 5, 5)), "jkl"
-    else:
+    elif name == "resmlp":
         spec, loss = resmlp_toy(1, 6, 1.2, mu=0.9, eps_ls=0.5, image=(2, 6, 6), patch=3,
                                 hidden_mult=2), "jll"
+    else:
+        spec, loss, grad_mode = relu_mlp(3, 8, 1.7), "jll", "analytic-relu"
     x, params, rng = _setup(spec, 16, 4)
     cfg = TuneConfig(loss=loss, lam=0.05 if loss == "jkl" else 0.0, eta=0.01, t_max=2,
-                     n_v=2, aux_groups="all")
+                     n_v=2, grad_mode=grad_mode, aux_groups="all")
     log = _record_sweeps(monkeypatch)
     res = tune(spec, params, x, cfg, rng.child(3))
     assert res.steps_used == 2
@@ -246,7 +250,8 @@ def test_exact_tune_sweeps_each_probe_once(name, monkeypatch):
     for t, sweeps in enumerate(steps):
         assert len(sweeps) == n_pairs * cfg.n_v, (t, sweeps)
         assert sorted({b0 for b0, _, _ in sweeps}) == list(range(n_pairs))
-        assert all(taped == (t < cfg.t_max) for _, _, taped in sweeps), (t, sweeps)
+        gradient_step = grad_mode == "exact" and t < cfg.t_max
+        assert all(taped == gradient_step for _, _, taped in sweeps), (t, sweeps)
 
 
 def _overflowing_stack():
