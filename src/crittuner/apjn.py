@@ -5,18 +5,22 @@ flattened boundary activation with respect to an earlier one, normalized by
 batch size and output width, and read off the caller's
 :class:`~crittuner.blocks.ForwardState`: only ``apjn_profile``, which draws
 the parameters it averages over, runs forward passes (and reports the
-boundary kernels of its first draw). ``exact_apjn`` accumulates it from
-basis tangents (forward columns or reverse rows, whichever side is
-narrower); a forward basis that enters through a dense block starts from
-its weight rows, which are that block's image of the identity bit for bit.
-``estimate_segment`` is the unbiased Monte-Carlo version driven by Gaussian
-probe vectors, one sweep per probe: rows on the upper boundary pulled back,
-or, where batch norm couples the segment, tangents on the lower boundary
-pushed forward. ``measure_pairs`` measures every adjacent pair either way
-and, when asked, gives the exact gradient in the twin network's scalars
-from the same sweeps, taped and reversed at once; otherwise it tapes
-nothing. A pair with a non-finite boundary activation measures NaN, since
-a ReLU mask would read NaN as inactive.
+boundary kernels of its first draw). ``exact_apjn`` reads a segment that
+is one weight block followed only by diagonal blocks in closed form from
+the forward caches, with no sweep (:func:`_sweep_free_apjn`). Any other
+segment it accumulates from basis tangents (forward columns or reverse
+rows, whichever side is narrower); a forward basis that enters through a
+dense block starts from its weight rows, which are that block's image of
+the identity bit for bit. ``estimate_segment`` is the unbiased Monte-Carlo
+version driven by Gaussian probe vectors, one sweep per probe: rows on the
+upper boundary pulled back, or, where batch norm couples the segment,
+tangents on the lower boundary pushed forward. ``measure_pairs`` measures
+every adjacent pair either way and, when asked, gives the exact gradient
+in the twin network's scalars from the same sweeps, taped and reversed at
+once (a sweep-free segment is then swept for its gradient only; its norm
+is still the closed form); otherwise it tapes nothing. A pair with a
+non-finite boundary activation measures NaN, since a ReLU mask would read
+NaN as inactive.
 
 Networks without batch normalization have batch-block-diagonal Jacobians,
 so both paths collapse the batch index and a single broadcast basis covers
@@ -213,6 +217,26 @@ def _finite_ends(state: ForwardState, l0: int, l1: int) -> bool:
     return bool(np.isfinite(state.boundary(l0)).all() and np.isfinite(state.boundary(l1)).all())
 
 
+def _sweep_free_apjn(state: ForwardState, l0: int, l1: int) -> float | None:
+    """Exact (l0, l1) norm of a segment that is one weight block followed
+    only by diagonal ones, or None for any other segment. The per-sample
+    Jacobian is then ``D L``, with ``D`` the product of the diagonals the
+    forward caches hold, so its squared norm is ``sum_j D_j^2 r_j`` over
+    the squared row norms ``r`` of ``L`` (``Op.row_sq``): no sweep."""
+    spec = state.spec
+    seg = spec.segment(l0, l1)
+    if not all(OPS[spec.blocks[i].kind].diagonal for i in seg[1:]):
+        return None
+    blk = spec.blocks[seg[0]]
+    r = OPS[blk.kind].row_sq(blk, state.caches[seg[0]])
+    if r is None:
+        return None
+    sq = np.broadcast_to(r, (state.batch_size, *spec.boundary_shape(l1)))
+    for i in seg[1:]:
+        sq = sq * (state.caches[i] * state.caches[i])
+    return float(np.sum(sq)) / (state.batch_size * spec.boundary_dim(l1))
+
+
 def _terms(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngStream | None,
            record: list | None = None, max_entries: int = DEFAULT_MAX_ENTRIES) -> Array:
     """Per-probe terms of the (l0, l1) norm (``n_v = 0``: one term, the exact
@@ -220,13 +244,18 @@ def _terms(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngStream | Non
     pushed forward to l1 or pulled back to l0, over the batch size and the
     width of l1; ``[nan]``, without sweeping, when either boundary activation
     is non-finite. With a ``record``, each sweep is taped and reversed at
-    once (:func:`_reverse`)."""
+    once (:func:`_reverse`). At ``n_v = 0`` the term is the closed form
+    wherever the segment has one (:func:`_sweep_free_apjn`), which is then
+    swept only for a ``record``."""
     if n_v == 0 and (entries := _exact_entries(state.spec, l0, l1, state.batch_size)) > max_entries:
         raise ResourceBudgetError(
             f"exact Jacobian needs {entries:.3g} entries (budget {max_entries:.3g}); "
             f"use estimate_segment instead")
     if not _finite_ends(state, l0, l1):
         return np.array([np.nan])
+    sweep_free = _sweep_free_apjn(state, l0, l1) if n_v == 0 else None
+    if sweep_free is not None and record is None:
+        return np.array([sweep_free])
     forward, start, probes = _probes(state, l0, l1, n_v, rng)
     ssq = []
     for stacks in probes:
@@ -240,6 +269,8 @@ def _terms(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngStream | Non
             ssq[-1] += float(np.sum(out * out))
             if record is not None:
                 _reverse(state, l0, l1, tape, forward, record)
+    if sweep_free is not None:  # the sweeps only taped the gradient
+        return np.array([sweep_free])
     return np.array(ssq) / (state.batch_size * state.spec.boundary_dim(l1))
 
 
@@ -249,7 +280,9 @@ def exact_apjn(state: ForwardState, l0: int, l1: int, *,
 
     Averages over the batch and normalizes by the output width; expectation
     over parameter draws is up to the caller (see ``apjn_profile``). NaN
-    when either boundary activation is non-finite.
+    when either boundary activation is non-finite. ``max_entries`` caps the
+    Jacobian of every segment, including one whose norm needs no sweep, so
+    ``apjn_profile(method="auto")`` picks the same method either way.
     """
     return float(_terms(state, l0, l1, 0, None, max_entries=max_entries)[0])
 

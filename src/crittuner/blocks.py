@@ -288,6 +288,9 @@ class Op:
     ``tskip`` and ``gskip`` carry the residual branch inputs.
     ``basis_rows(blk, cache, dim)`` may give the JVP of a whole input basis
     at once, so exact norms need not sweep the identity through the block.
+    ``row_sq(blk, cache)`` may give the squared norm of each row of a
+    weight block's Jacobian, and ``diagonal`` marks kinds whose cache is
+    their diagonal Jacobian; together they give exact norms with no sweep.
 
     The derivative rules serve exact scalar gradients. Every kind's output
     is linear in its scalars: ``F(x) = a_s * L(x) + a_h * h``, with ``L``
@@ -302,6 +305,7 @@ class Op:
     groups: dict = {}         # parameter group -> BlockSpec field its scalar folds into
     scan: tuple = ()          # BlockSpec fields a scan axis of that name sets
     couples_batch = False     # output of one sample depends on the others
+    diagonal = False          # the Jacobian is diagonal, and the cache holds it
     scale: str | None = None  # group whose scalar multiplies the Jacobian
     shift: str | None = None  # group whose scalar multiplies an added constant
 
@@ -326,6 +330,11 @@ class Op:
         """The JVP of each unit vector of the block's flattened
         ``dim``-wide per-sample input, as the rows of a ``[dim, N_out]``
         array (a view may do), or None where only ``jvp`` gives them."""
+        return None
+
+    def row_sq(self, blk, cache) -> Array | None:
+        """Squared norm of each row of the per-sample Jacobian, broadcastable
+        against the per-sample output, or None where no rule gives it."""
         return None
 
     def djvp(self, blk, a_of, u, jt) -> dict:
@@ -406,6 +415,10 @@ class _Dense(_Weighted):
         # the JVP of e_k is e_k @ w.T, which is w.T[k] bit for bit
         return w.T if blk.axis == -1 and dim == blk.fan_in else None
 
+    def row_sq(self, blk, w):
+        r = np.einsum("ij,ij->i", w, w)
+        return r if blk.axis == -1 else r[:, None]
+
 
 class _Conv2d(_Weighted):
     alias = "conv"
@@ -449,6 +462,12 @@ class _Conv2d(_Weighted):
         folded_shape = (f.shape[0],) + x_shape[1:]
         return _unfold(_col2im(gcols, folded_shape, blk.kernel, blk.stride, blk.padding), s)
 
+    def row_sq(self, blk, cache):
+        # the taps of each output position that fall on the image, not the padding
+        wmat, x_shape = cache
+        taps = _im2col(np.ones((1, *x_shape[1:])), blk.kernel, blk.stride, blk.padding)
+        return (taps[0] @ (wmat * wmat).T).transpose(2, 0, 1)
+
 
 class _PatchEmbed(_Weighted):
     alias = "patch"
@@ -481,10 +500,15 @@ class _PatchEmbed(_Weighted):
         folded_shape = (f.shape[0],) + x_shape[1:]
         return _unfold(_unpatchify(f @ w, folded_shape, blk.patch), s)
 
+    def row_sq(self, blk, cache):
+        return np.einsum("ij,ij->i", cache[0], cache[0])
+
 
 class _Pointwise(Op):
     """Kinds with a diagonal Jacobian; the cache is its diagonal, which
     broadcasts against ``[S, B, ...]`` tangents."""
+
+    diagonal = True
 
     def jvp(self, blk, deriv, t, tskip):
         return t * deriv

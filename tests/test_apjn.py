@@ -1,24 +1,35 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from crittuner import apjn
 from crittuner.apjn import (
     ResourceBudgetError,
     _basis,
     _probes,
+    _sweep_free_apjn,
     apjn_profile,
     estimate_segment,
     exact_apjn,
     factorization_residual,
+    measure_pairs,
     profile_pairs,
 )
 from crittuner.blocks import (
     AuxScalars,
     NetworkSpec,
     activation,
+    affine_norm,
+    avg_pool,
     batchnorm,
+    conv2d,
     dense,
+    flatten_block,
     init_params,
     jvp_segment,
+    layer_scale,
+    patch_embed,
     run_network,
     vjp_segment,
 )
@@ -243,6 +254,21 @@ def _eye_sweep_apjn(state, l0, l1):
     return ssq / (bsz * d1)
 
 
+def _basis_sweep_apjn(state, l0, l1):
+    """The basis sweep that exact gradients and segments without a sweep-free
+    norm still use: the ``_probes`` stacks at ``n_v = 0`` pushed through the
+    segment from the block they enter at."""
+    forward, start, (stacks,) = _probes(state, l0, l1, 0, None)
+    ssq = 0.0
+    for t in stacks:
+        if forward:
+            out = jvp_segment(state, l0, l1, t, start=start)
+        else:
+            out = vjp_segment(state, l0, l1, t)
+        ssq += float(np.sum(out * out))
+    return ssq / (state.batch_size * state.spec.boundary_dim(l1))
+
+
 def _bit_identity_state(spec, batch):
     rng = RngStream(31)
     params = init_params(spec, rng.child(1))
@@ -253,12 +279,20 @@ def _bit_identity_state(spec, batch):
     return run_network(spec, params, aux, x)
 
 
-def _assert_bit_identical(state, starts):
+def _assert_bit_identical(state, starts, sweep_free=()):
+    # the basis sweep is the identity sweep bit for bit; exact_apjn is that
+    # sweep bit for bit, or, on the ``sweep_free`` pairs, the closed form
     for (l0, l1), start in starts.items():
         assert _basis(state, l0, l1)[1] == start, (l0, l1)
         assert _probes(state, l0, l1, 0, None)[1] == start, (l0, l1)
+        swept = _basis_sweep_apjn(state, l0, l1)
+        assert swept == _eye_sweep_apjn(state, l0, l1), (l0, l1)
+        assert (_sweep_free_apjn(state, l0, l1) is not None) == ((l0, l1) in sweep_free)
         got = exact_apjn(state, l0, l1)
-        assert got == _eye_sweep_apjn(state, l0, l1), (l0, l1)
+        if (l0, l1) in sweep_free:
+            assert got == pytest.approx(swept, rel=1e-12, abs=0), (l0, l1)
+        else:
+            assert got == swept, (l0, l1)
 
 
 @pytest.mark.parametrize("batch", [1, 4, 16])
@@ -268,27 +302,157 @@ def test_exact_dense_first_bases_are_bit_identical(act, width, batch):
     # the dense block's weight rows stand in for its JVP of the identity
     spec = mlp(2, width, 1.3, 0.3, act=act)
     _assert_bit_identical(_bit_identity_state(spec, batch),
-                          {(0, 1): 1, (1, 2): 1, (0, 2): 1})
+                          {(0, 1): 1, (1, 2): 1, (0, 2): 1}, {(0, 1), (1, 2)})
 
 
-# per checked pair, the block the basis enters at: 1 where a dense block
-# opens the segment, 0 where the whole segment is swept
+# per checked pair, the block the basis enters at (1 where a dense block
+# opens the segment, 0 where the whole segment is swept), and the pairs
+# whose exact norm needs no sweep
 OTHER_SEGMENTS = {
     # batch norm couples the samples: weight rows placed per sample
     "dense-bn": (NetworkSpec((dense(130, 1.2, 0.3), batchnorm(),
                               activation("relu", boundary=True),
                               dense(130, 1.1), activation("tanh", boundary=True)), (130,)),
-                 {(0, 1): 1, (1, 2): 1, (0, 2): 1}),
+                 {(0, 1): 1, (1, 2): 1, (0, 2): 1}, {(1, 2)}),
     "bn-first": (NetworkSpec((batchnorm(), dense(130, 1.2, 0.3),
-                              activation("gelu", boundary=True)), (130,)), {(0, 1): 0}),
-    "res-open": (prebn_residual_mlp(2, 130, 1.2, 0.3, mu=0.7), {(0, 1): 0, (0, 2): 0}),
-    "conv": (conv_bn_relu_stack((3, 4), 1.3, 0.2, image=(2, 5, 5)), {(0, 1): 0, (1, 2): 0}),
-    # wider input: the basis is pulled back from the output side
-    "reverse": (mlp(1, 130, 1.3, 0.3, in_dim=300), {(0, 1): 0}),
+                              activation("gelu", boundary=True)), (130,)), {(0, 1): 0}, set()),
+    "res-open": (prebn_residual_mlp(2, 130, 1.2, 0.3, mu=0.7), {(0, 1): 0, (0, 2): 0}, set()),
+    "conv": (conv_bn_relu_stack((3, 4), 1.3, 0.2, image=(2, 5, 5)), {(0, 1): 0, (1, 2): 0},
+             set()),
+    # wider input: the basis is pulled back from the output side; the
+    # sweep-free norm does not depend on the sweep direction
+    "reverse": (mlp(1, 130, 1.3, 0.3, in_dim=300), {(0, 1): 0}, {(0, 1)}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OTHER_SEGMENTS))
 def test_exact_bases_of_other_segments_are_bit_identical(name):
-    spec, starts = OTHER_SEGMENTS[name]
-    _assert_bit_identical(_bit_identity_state(spec, 4), starts)
+    spec, starts, sweep_free = OTHER_SEGMENTS[name]
+    _assert_bit_identical(_bit_identity_state(spec, 4), starts, sweep_free)
+
+
+def _count_sweeps(monkeypatch):
+    """Per lower boundary, how many stacks ``apjn`` sweeps from now on."""
+    counts = {}
+
+    def sweeper(fn):
+        def sweep(state, b0, b1, stack, tape=None, **kwargs):
+            counts[b0] = counts.get(b0, 0) + 1
+            return fn(state, b0, b1, stack, tape, **kwargs)
+        return sweep
+
+    monkeypatch.setattr(apjn, "jvp_segment", sweeper(jvp_segment))
+    monkeypatch.setattr(apjn, "vjp_segment", sweeper(vjp_segment))
+    return counts
+
+
+# a weight block of each kind, and what may follow it in a sweep-free segment
+WEIGHT_BLOCKS = {
+    "dense": ((5,), lambda: dense(7, 1.3, 0.4)),
+    "dense-tokens": ((3, 5), lambda: dense(6, 1.2, 0.3)),
+    "dense-axis1": ((4, 5), lambda: dense(6, 1.2, 0.3, axis=1)),
+    "conv-p0-s1": ((2, 6, 6), lambda: conv2d(3, 3, 1.1, 0.2)),
+    "conv-p1-s1": ((2, 6, 6), lambda: conv2d(3, 3, 1.1, 0.2, padding=1)),
+    "conv-p0-s2": ((2, 6, 6), lambda: conv2d(3, 3, 1.1, 0.2, stride=2)),
+    "conv-p1-s2": ((2, 6, 6), lambda: conv2d(3, 3, 1.1, 0.2, stride=2, padding=1)),
+    "patch": ((2, 6, 6), lambda: patch_embed(3, 5, 1.0, 0.2)),
+}
+FOLLOWERS = {
+    "none": (),
+    "relu": (activation("relu"),),
+    "gelu": (activation("gelu"),),
+    "tanh": (activation("tanh"),),
+    "affine": (affine_norm(1.3, 0.2),),
+    "lscale": (layer_scale(0.6),),
+    "tanh-affine-lscale": (activation("tanh"), affine_norm(0.9, -0.1), layer_scale(1.4)),
+}
+
+
+def _one_segment(blocks, input_shape):
+    return NetworkSpec((*blocks[:-1], replace(blocks[-1], boundary=True)), input_shape)
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("follow", sorted(FOLLOWERS))
+@pytest.mark.parametrize("weight", sorted(WEIGHT_BLOCKS))
+def test_sweep_free_norm_matches_identity_sweep(weight, follow, batch, monkeypatch):
+    shape, make = WEIGHT_BLOCKS[weight]
+    state = _bit_identity_state(_one_segment((make(), *FOLLOWERS[follow]), shape), batch)
+    want = _eye_sweep_apjn(state, 0, 1)
+    sweeps = _count_sweeps(monkeypatch)
+    assert exact_apjn(state, 0, 1) == pytest.approx(want, rel=1e-12, abs=0)
+    assert sweeps == {}
+
+
+# segments that have no sweep-free norm; each side is narrower than one
+# 128-row stack, so exact_apjn sweeps once
+SWEPT_SEGMENTS = {
+    "batchnorm": _one_segment((dense(6, 1.2, 0.3), batchnorm(), activation("relu")), (5,)),
+    "residual": prebn_residual_mlp(1, 6, 1.2, 0.3, mu=0.7),
+    "two-weight-blocks": _one_segment((dense(6, 1.2), activation("relu"), dense(6, 1.1)), (5,)),
+    "leading-pointwise": _one_segment((affine_norm(1.3), dense(6, 1.2)), (5,)),
+    "pool": _one_segment((conv2d(3, 3, 1.1), avg_pool()), (2, 5, 5)),
+    "flatten": _one_segment((conv2d(3, 3, 1.1), flatten_block()), (2, 5, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT_SEGMENTS))
+def test_other_segments_still_sweep(name, monkeypatch):
+    state = _bit_identity_state(SWEPT_SEGMENTS[name], 4)
+    want = _eye_sweep_apjn(state, 0, 1)
+    sweeps = _count_sweeps(monkeypatch)
+    assert exact_apjn(state, 0, 1) == want
+    assert sweeps == {0: 1}
+
+
+# per-pair sweep counts, the same as before exact norms had a sweep-free form:
+# exact_apjn and measure_pairs without dj at n_v = 0 ("exact"), measure_pairs
+# with dj at n_v = 0 ("exact-dj"), and measure_pairs at n_v = 2 with and
+# without dj ("probes")
+SWEEP_COUNTS = {
+    "relu-mlp": (relu_mlp(3, 200, SQRT2, 0.1),
+                 {"exact": {}, "exact-dj": {0: 2, 1: 2, 2: 2}, "probes": {0: 2, 1: 2, 2: 2}}),
+    "conv-relu": (NetworkSpec((conv2d(4, 3, 1.4, 0.1, padding=1), activation("relu", boundary=True),
+                               conv2d(5, 3, 1.4, 0.1, stride=2),
+                               activation("relu", boundary=True)), (4, 6, 6)),
+                  {"exact": {}, "exact-dj": {0: 2, 1: 1}, "probes": {0: 2, 1: 2}}),
+    "conv-bn": (conv_bn_relu_stack((3, 4), 1.3, 0.2, image=(2, 5, 5)),
+                {"exact": {0: 2, 1: 3}, "exact-dj": {0: 2, 1: 3}, "probes": {0: 2, 1: 2}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_COUNTS))
+def test_sweep_counts_per_pair(name, monkeypatch):
+    spec, want = SWEEP_COUNTS[name]
+    state = _bit_identity_state(spec, 4)
+    top = spec.n_boundaries - 1
+    sweeps = _count_sweeps(monkeypatch)
+
+    def counted(measure):
+        measure()
+        got = dict(sweeps)
+        sweeps.clear()
+        return got
+
+    assert counted(lambda: [exact_apjn(state, l, l + 1) for l in range(top)]) == want["exact"]
+    assert counted(lambda: measure_pairs(state, 0, None)) == want["exact"]
+    assert counted(lambda: measure_pairs(state, 0, None, lambda j: 1.0, {})) == want["exact-dj"]
+    for dj in (None, lambda j: 1.0):
+        assert counted(lambda: measure_pairs(state, 2, RngStream(3), dj)) == want["probes"]
+
+
+def test_budget_covers_sweep_free_segments():
+    # the budget does not exempt a segment whose norm needs no sweep, so
+    # "auto" picks the estimator where the Jacobian would not fit
+    spec = relu_mlp(1, 40, SQRT2)
+    x, params, aux, rng = _mlp_setup(spec, 17, 4)
+    state = run_network(spec, params, aux, x)
+    assert _sweep_free_apjn(state, 0, 1) is not None
+    with pytest.raises(ResourceBudgetError, match="estimate_segment"):
+        exact_apjn(state, 0, 1, max_entries=40 * 40 - 1)
+    report = apjn_profile(spec, params, aux, x, 1, method="auto", n_v=4,
+                          rng=rng.child(5), max_entries=40 * 40 - 1)
+    assert [p.method for p in report.pairs] == ["estimated"]
+    report = apjn_profile(spec, params, aux, x, 1, method="auto", rng=rng.child(5),
+                          max_entries=40 * 40)
+    assert [p.method for p in report.pairs] == ["exact"]
