@@ -5,11 +5,11 @@ flattened boundary activation with respect to an earlier one, normalized by
 batch size and output width, and read off the caller's
 :class:`~crittuner.blocks.ForwardState`: only ``apjn_profile``, which draws
 the parameters it averages over, runs forward passes (and reports the
-boundary kernels of its first draw). ``exact_apjn`` reads a segment that
-is one weight block followed only by diagonal blocks in closed form from
-the forward caches, with no sweep (:func:`_sweep_free_apjn`). Any other
-segment it accumulates from basis tangents (forward columns or reverse
-rows, whichever side is narrower); a forward basis that enters through a
+boundary kernels of its first draw). ``exact_apjn`` accumulates it from
+basis tangents (:func:`_basis`). A segment that is one weight block followed
+only by diagonal blocks needs one row, read from the forward caches and
+pushed forward; any other segment sweeps the identity of its narrower side
+(forward columns or reverse rows); a forward basis that enters through a
 dense block starts from its weight rows, which are that block's image of
 the identity bit for bit. ``estimate_segment`` is the unbiased Monte-Carlo
 version driven by Gaussian probe vectors, one sweep per probe: rows on the
@@ -17,10 +17,8 @@ upper boundary pulled back, or, where batch norm couples the segment,
 tangents on the lower boundary pushed forward. ``measure_pairs`` measures
 every adjacent pair either way and, when asked, gives the exact gradient
 in the twin network's scalars from the same sweeps, taped and reversed at
-once (a sweep-free segment is then swept for its gradient only; its norm
-is still the closed form); otherwise it tapes nothing. A pair with a
-non-finite boundary activation measures NaN, since a ReLU mask would read
-NaN as inactive.
+once; otherwise it tapes nothing. A pair with a non-finite boundary
+activation measures NaN, since a ReLU mask would read NaN as inactive.
 
 Networks without batch normalization have batch-block-diagonal Jacobians,
 so both paths collapse the batch index and a single broadcast basis covers
@@ -117,23 +115,35 @@ def _row_stacks(rows: Callable[[Array], Array], n: int, bsz: int,
             yield np.broadcast_to(chunk[:, None, :], (idx.size, bsz, chunk.shape[1])).copy()
 
 
-def _basis(state: ForwardState, l0: int, l1: int) -> tuple[bool, int, Iterator[Array]]:
-    """Identity basis of the narrower side of the (l0, l1) segment, as
-    tangent stacks: the sweep direction (True: forward), how many of the
-    segment's blocks the stacks have already passed, and the stacks.
+def _basis(state: ForwardState, l0: int, l1: int) -> tuple[bool, int, Iterable[Array]]:
+    """Basis of the (l0, l1) segment, as tangent stacks: the sweep direction
+    (True: forward), how many of the segment's blocks the stacks have
+    already passed, and the stacks.
 
-    A forward basis whose first block has ``basis_rows`` is built from those
-    rows and enters after that block.
+    A segment that is one weight block followed only by diagonal ones gets
+    a one-row basis: the square roots of the block's squared Jacobian row
+    norms (``Op.row_sq``), broadcast over the batch, entering after that
+    block. Its per-sample Jacobian is ``D L``, with ``D`` diagonal, so the
+    row pushed forward has the squared norm ``sum_j D_j^2 r_j`` of the whole
+    basis, and each taped partial, a per-coordinate sum over basis rows,
+    the same value too. Any other segment gets the identity basis of its
+    narrower side; a forward one whose first block has ``basis_rows`` is
+    built from those rows and enters after that block.
     """
     spec = state.spec
+    seg = spec.segment(l0, l1)
+    blk = spec.blocks[seg[0]]
+    if all(OPS[spec.blocks[i].kind].diagonal for i in seg[1:]):
+        r = OPS[blk.kind].row_sq(blk, state.caches[seg[0]])
+        if r is not None:
+            return True, 1, [np.broadcast_to(np.sqrt(r), (1, state.batch_size,
+                                                          *spec.shapes[seg[0] + 1]))]
     d0, d1 = spec.boundary_dim(l0), spec.boundary_dim(l1)
     forward = d0 <= d1
     n = d0 if forward else d1
     rows, start = partial(_unit_rows, n), 0
     if forward:
-        i = spec.segment(l0, l1)[0]
-        blk = spec.blocks[i]
-        image = OPS[blk.kind].basis_rows(blk, state.caches[i], n)
+        image = OPS[blk.kind].basis_rows(blk, state.caches[seg[0]], n)
         if image is not None:
             rows, start = image.__getitem__, 1
     stacks = _row_stacks(rows, n, state.batch_size, spec.segment_has_batchnorm(l0, l1))
@@ -145,12 +155,14 @@ def _probes(state: ForwardState, l0: int, l1: int, n_v: int,
     """Sweep direction (True: forward), the block the sweeps enter at, and,
     per probe, its tangent stacks.
 
-    ``n_v = 0`` gives one probe, the basis of the narrower side
-    (:func:`_basis`). Otherwise each of the ``n_v`` probes is a fresh draw
-    from ``rng``, taken lazily in probe order: a Gaussian tangent on the
-    lower boundary, pushed forward, where batch norm couples the segment
-    (one sweep per probe, where an upper-boundary row would need one per
-    sample); elsewhere a Gaussian row on the upper boundary, pulled back.
+    ``n_v = 0`` gives one probe, the exact basis of the segment
+    (:func:`_basis`): one row where the segment is one weight block followed
+    by diagonal ones, the identity of the narrower side elsewhere. Otherwise
+    each of the ``n_v`` probes is a fresh draw from ``rng``, taken lazily in
+    probe order: a Gaussian tangent on the lower boundary, pushed forward,
+    where batch norm couples the segment (one sweep per probe, where an
+    upper-boundary row would need one per sample); elsewhere a Gaussian row
+    on the upper boundary, pulled back.
     """
     if n_v == 0:
         forward, start, stacks = _basis(state, l0, l1)
@@ -175,7 +187,7 @@ def _reverse(state: ForwardState, l0: int, l1: int, tape: list, forward: bool,
     a sum of one term per block. The reverse sweep starts from the taped
     sweep's result, meets each block with what ``tape`` holds for the other
     side, and drops tape entries as it goes. A forward basis entering after
-    block 0 has no input tangent there, which that dense block's partials
+    block 0 has no input tangent there, which that weight block's partials
     do not read."""
     spec = state.spec
     seg = spec.segment(l0, l1)
@@ -217,26 +229,6 @@ def _finite_ends(state: ForwardState, l0: int, l1: int) -> bool:
     return bool(np.isfinite(state.boundary(l0)).all() and np.isfinite(state.boundary(l1)).all())
 
 
-def _sweep_free_apjn(state: ForwardState, l0: int, l1: int) -> float | None:
-    """Exact (l0, l1) norm of a segment that is one weight block followed
-    only by diagonal ones, or None for any other segment. The per-sample
-    Jacobian is then ``D L``, with ``D`` the product of the diagonals the
-    forward caches hold, so its squared norm is ``sum_j D_j^2 r_j`` over
-    the squared row norms ``r`` of ``L`` (``Op.row_sq``): no sweep."""
-    spec = state.spec
-    seg = spec.segment(l0, l1)
-    if not all(OPS[spec.blocks[i].kind].diagonal for i in seg[1:]):
-        return None
-    blk = spec.blocks[seg[0]]
-    r = OPS[blk.kind].row_sq(blk, state.caches[seg[0]])
-    if r is None:
-        return None
-    sq = np.broadcast_to(r, (state.batch_size, *spec.boundary_shape(l1)))
-    for i in seg[1:]:
-        sq = sq * (state.caches[i] * state.caches[i])
-    return float(np.sum(sq)) / (state.batch_size * spec.boundary_dim(l1))
-
-
 def _terms(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngStream | None,
            record: list | None = None, max_entries: int = DEFAULT_MAX_ENTRIES) -> Array:
     """Per-probe terms of the (l0, l1) norm (``n_v = 0``: one term, the exact
@@ -244,18 +236,14 @@ def _terms(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngStream | Non
     pushed forward to l1 or pulled back to l0, over the batch size and the
     width of l1; ``[nan]``, without sweeping, when either boundary activation
     is non-finite. With a ``record``, each sweep is taped and reversed at
-    once (:func:`_reverse`). At ``n_v = 0`` the term is the closed form
-    wherever the segment has one (:func:`_sweep_free_apjn`), which is then
-    swept only for a ``record``."""
+    once (:func:`_reverse`), so the norm and its gradient come from the same
+    sweeps, the one-row basis's included."""
     if n_v == 0 and (entries := _exact_entries(state.spec, l0, l1, state.batch_size)) > max_entries:
         raise ResourceBudgetError(
             f"exact Jacobian needs {entries:.3g} entries (budget {max_entries:.3g}); "
             f"use estimate_segment instead")
     if not _finite_ends(state, l0, l1):
         return np.array([np.nan])
-    sweep_free = _sweep_free_apjn(state, l0, l1) if n_v == 0 else None
-    if sweep_free is not None and record is None:
-        return np.array([sweep_free])
     forward, start, probes = _probes(state, l0, l1, n_v, rng)
     ssq = []
     for stacks in probes:
@@ -269,8 +257,6 @@ def _terms(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngStream | Non
             ssq[-1] += float(np.sum(out * out))
             if record is not None:
                 _reverse(state, l0, l1, tape, forward, record)
-    if sweep_free is not None:  # the sweeps only taped the gradient
-        return np.array([sweep_free])
     return np.array(ssq) / (state.batch_size * state.spec.boundary_dim(l1))
 
 
@@ -281,8 +267,9 @@ def exact_apjn(state: ForwardState, l0: int, l1: int, *,
     Averages over the batch and normalizes by the output width; expectation
     over parameter draws is up to the caller (see ``apjn_profile``). NaN
     when either boundary activation is non-finite. ``max_entries`` caps the
-    Jacobian of every segment, including one whose norm needs no sweep, so
-    ``apjn_profile(method="auto")`` picks the same method either way.
+    Jacobian of every segment, including one whose basis is a single row
+    (:func:`_basis`), so ``apjn_profile(method="auto")`` picks the same
+    method either way.
     """
     return float(_terms(state, l0, l1, 0, None, max_entries=max_entries)[0])
 

@@ -290,7 +290,7 @@ class Op:
     at once, so exact norms need not sweep the identity through the block.
     ``row_sq(blk, cache)`` may give the squared norm of each row of a
     weight block's Jacobian, and ``diagonal`` marks kinds whose cache is
-    their diagonal Jacobian; together they give exact norms with no sweep.
+    their diagonal Jacobian; together they give a one-row exact basis.
 
     The derivative rules serve exact scalar gradients. Every kind's output
     is linear in its scalars: ``F(x) = a_s * L(x) + a_h * h``, with ``L``

@@ -2,7 +2,7 @@
 
 The binary loader reads fixed 3073-byte records (1 label byte followed by
 3072 channel-major pixel bytes). Relative paths resolve against the
-``CRIT_TUNER_DATA`` environment variable when they do not exist as given.
+``CRIT_TUNER_DATA`` environment variable when they name no file as given.
 Synthetic batches are drop-in replacements: same shapes, same downstream
 behavior.
 """
@@ -28,12 +28,14 @@ class FormatError(ValueError):
 
 
 def resolve_data_path(path: str) -> str:
-    if os.path.exists(path):
+    """``path``, or else ``path`` under ``$CRIT_TUNER_DATA``, whichever is a
+    regular file first; a directory is not a data file."""
+    if os.path.isfile(path):
         return path
     root = os.environ.get(DATA_ENV, "")
     if root:
         candidate = os.path.join(root, path)
-        if os.path.exists(candidate):
+        if os.path.isfile(candidate):
             return candidate
     raise FormatError(f"data file not found: {path!r} (also tried ${DATA_ENV})")
 

@@ -8,7 +8,6 @@ from crittuner.apjn import (
     ResourceBudgetError,
     _basis,
     _probes,
-    _sweep_free_apjn,
     apjn_profile,
     estimate_segment,
     exact_apjn,
@@ -17,6 +16,7 @@ from crittuner.apjn import (
     profile_pairs,
 )
 from crittuner.blocks import (
+    OPS,
     AuxScalars,
     NetworkSpec,
     activation,
@@ -255,9 +255,9 @@ def _eye_sweep_apjn(state, l0, l1):
 
 
 def _basis_sweep_apjn(state, l0, l1):
-    """The basis sweep that exact gradients and segments without a sweep-free
-    norm still use: the ``_probes`` stacks at ``n_v = 0`` pushed through the
-    segment from the block they enter at."""
+    """The basis sweep that exact norms and their gradients use: the
+    ``_probes`` stacks at ``n_v = 0`` pushed through the segment from the
+    block they enter at."""
     forward, start, (stacks,) = _probes(state, l0, l1, 0, None)
     ssq = 0.0
     for t in stacks:
@@ -279,35 +279,44 @@ def _bit_identity_state(spec, batch):
     return run_network(spec, params, aux, x)
 
 
-def _assert_bit_identical(state, starts, sweep_free=()):
-    # the basis sweep is the identity sweep bit for bit; exact_apjn is that
-    # sweep bit for bit, or, on the ``sweep_free`` pairs, the closed form
+def _one_row(state, l0, l1):
+    """Whether the exact basis of the pair is one row pushed forward from
+    the output of its first block."""
+    forward, start, stacks = _basis(state, l0, l1)
+    stacks = list(stacks)
+    return forward and start == 1 and len(stacks) == 1 and stacks[0].shape[0] == 1
+
+
+def _assert_bit_identical(state, starts, one_row=()):
+    # exact_apjn is the basis sweep bit for bit; the basis sweep is the
+    # identity sweep bit for bit, or, on the ``one_row`` pairs, within 1e-12
     for (l0, l1), start in starts.items():
         assert _basis(state, l0, l1)[1] == start, (l0, l1)
         assert _probes(state, l0, l1, 0, None)[1] == start, (l0, l1)
+        assert _one_row(state, l0, l1) == ((l0, l1) in one_row), (l0, l1)
         swept = _basis_sweep_apjn(state, l0, l1)
-        assert swept == _eye_sweep_apjn(state, l0, l1), (l0, l1)
-        assert (_sweep_free_apjn(state, l0, l1) is not None) == ((l0, l1) in sweep_free)
-        got = exact_apjn(state, l0, l1)
-        if (l0, l1) in sweep_free:
-            assert got == pytest.approx(swept, rel=1e-12, abs=0), (l0, l1)
+        assert exact_apjn(state, l0, l1) == swept, (l0, l1)
+        want = _eye_sweep_apjn(state, l0, l1)
+        if (l0, l1) in one_row:
+            assert swept == pytest.approx(want, rel=1e-12, abs=0), (l0, l1)
         else:
-            assert got == swept, (l0, l1)
+            assert swept == want, (l0, l1)
 
 
 @pytest.mark.parametrize("batch", [1, 4, 16])
 @pytest.mark.parametrize("width", [130, 300])
 @pytest.mark.parametrize("act", ["relu", "gelu", "tanh"])
 def test_exact_dense_first_bases_are_bit_identical(act, width, batch):
-    # the dense block's weight rows stand in for its JVP of the identity
+    # the dense block's weight rows stand in for its JVP of the identity; a
+    # one-pair segment needs one row
     spec = mlp(2, width, 1.3, 0.3, act=act)
     _assert_bit_identical(_bit_identity_state(spec, batch),
                           {(0, 1): 1, (1, 2): 1, (0, 2): 1}, {(0, 1), (1, 2)})
 
 
 # per checked pair, the block the basis enters at (1 where a dense block
-# opens the segment, 0 where the whole segment is swept), and the pairs
-# whose exact norm needs no sweep
+# opens the segment or the basis is one row, 0 where the whole segment is
+# swept), and the pairs whose basis is one row
 OTHER_SEGMENTS = {
     # batch norm couples the samples: weight rows placed per sample
     "dense-bn": (NetworkSpec((dense(130, 1.2, 0.3), batchnorm(),
@@ -319,25 +328,29 @@ OTHER_SEGMENTS = {
     "res-open": (prebn_residual_mlp(2, 130, 1.2, 0.3, mu=0.7), {(0, 1): 0, (0, 2): 0}, set()),
     "conv": (conv_bn_relu_stack((3, 4), 1.3, 0.2, image=(2, 5, 5)), {(0, 1): 0, (1, 2): 0},
              set()),
-    # wider input: the basis is pulled back from the output side; the
-    # sweep-free norm does not depend on the sweep direction
-    "reverse": (mlp(1, 130, 1.3, 0.3, in_dim=300), {(0, 1): 0}, {(0, 1)}),
+    # wider input: the identity basis would be pulled back from the output
+    # side; the one row is pushed forward whichever side is narrower
+    "reverse": (mlp(1, 130, 1.3, 0.3, in_dim=300), {(0, 1): 1}, {(0, 1)}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OTHER_SEGMENTS))
 def test_exact_bases_of_other_segments_are_bit_identical(name):
-    spec, starts, sweep_free = OTHER_SEGMENTS[name]
-    _assert_bit_identical(_bit_identity_state(spec, 4), starts, sweep_free)
+    spec, starts, one_row = OTHER_SEGMENTS[name]
+    _assert_bit_identical(_bit_identity_state(spec, 4), starts, one_row)
 
 
-def _count_sweeps(monkeypatch):
-    """Per lower boundary, how many stacks ``apjn`` sweeps from now on."""
+def _count_sweeps(monkeypatch, stacks=None):
+    """Per lower boundary, how many stacks ``apjn`` sweeps from now on; with a
+    ``stacks`` list, each sweep's direction, row count and entry block are
+    appended to it."""
     counts = {}
 
     def sweeper(fn):
         def sweep(state, b0, b1, stack, tape=None, **kwargs):
             counts[b0] = counts.get(b0, 0) + 1
+            if stacks is not None:
+                stacks.append((fn.__name__, stack.shape[0], kwargs.get("start", 0)))
             return fn(state, b0, b1, stack, tape, **kwargs)
         return sweep
 
@@ -346,7 +359,7 @@ def _count_sweeps(monkeypatch):
     return counts
 
 
-# a weight block of each kind, and what may follow it in a sweep-free segment
+# a weight block of each kind, and what may follow it in a one-row segment
 WEIGHT_BLOCKS = {
     "dense": ((5,), lambda: dense(7, 1.3, 0.4)),
     "dense-tokens": ((3, 5), lambda: dense(6, 1.2, 0.3)),
@@ -379,12 +392,53 @@ def test_sweep_free_norm_matches_identity_sweep(weight, follow, batch, monkeypat
     shape, make = WEIGHT_BLOCKS[weight]
     state = _bit_identity_state(_one_segment((make(), *FOLLOWERS[follow]), shape), batch)
     want = _eye_sweep_apjn(state, 0, 1)
-    sweeps = _count_sweeps(monkeypatch)
+    stacks = []
+    sweeps = _count_sweeps(monkeypatch, stacks)
     assert exact_apjn(state, 0, 1) == pytest.approx(want, rel=1e-12, abs=0)
-    assert sweeps == {}
+    # one forward sweep of one row, entering after the weight block
+    assert sweeps == {0: 1}
+    assert stacks == [("jvp_segment", 1, 1)]
 
 
-# segments that have no sweep-free norm; each side is narrower than one
+# every one-row segment, and a two-pair tanh MLP, where the cotangent of
+# the upper pair on its input reaches the lower pair's scalars through the
+# pullback's ``extra`` cotangents
+ONE_ROW_GRADIENT_CASES = [
+    *(pytest.param(weight, follow, batch, id=f"{weight}-{follow}-{batch}")
+      for weight in sorted(WEIGHT_BLOCKS) for follow in sorted(FOLLOWERS) for batch in (1, 4)),
+    pytest.param(None, None, 4, id="tanh-mlp-4"),
+]
+
+
+@pytest.mark.parametrize("weight, follow, batch", ONE_ROW_GRADIENT_CASES)
+def test_one_row_gradient_matches_basis_gradient(weight, follow, batch, monkeypatch):
+    # the one row tapes the partials the whole identity basis tapes: each is
+    # a per-coordinate sum over basis rows, which the row holds elementwise
+    if weight is None:
+        spec = mlp(2, 9, 1.3, 0.3, act="tanh")
+    else:
+        shape, make = WEIGHT_BLOCKS[weight]
+        spec = _one_segment((make(), *FOLLOWERS[follow]), shape)
+    state = _bit_identity_state(spec, batch)
+    pairs = range(spec.n_boundaries - 1)
+
+    def dj(j):
+        return 1.0 + j * j
+
+    assert all(_one_row(state, l, l + 1) for l in pairs)
+    js, got = measure_pairs(state, 0, None, dj, {})
+    # without row norms every segment falls back to the identity basis
+    for op in OPS.values():
+        monkeypatch.setattr(type(op), "row_sq", lambda self, blk, cache: None)
+    assert not any(_one_row(state, l, l + 1) for l in pairs)
+    want_js, want = measure_pairs(state, 0, None, dj, {})
+    assert js == pytest.approx(want_js, rel=1e-12, abs=0)
+    assert set(got) == set(want)
+    scale = max(abs(v) for v in want.values())
+    assert max(abs(got[k] - want[k]) for k in want) <= 1e-12 * scale, (got, want)
+
+
+# segments whose basis is not one row; each side is narrower than one
 # 128-row stack, so exact_apjn sweeps once
 SWEPT_SEGMENTS = {
     "batchnorm": _one_segment((dense(6, 1.2, 0.3), batchnorm(), activation("relu")), (5,)),
@@ -405,17 +459,18 @@ def test_other_segments_still_sweep(name, monkeypatch):
     assert sweeps == {0: 1}
 
 
-# per-pair sweep counts, the same as before exact norms had a sweep-free form:
-# exact_apjn and measure_pairs without dj at n_v = 0 ("exact"), measure_pairs
-# with dj at n_v = 0 ("exact-dj"), and measure_pairs at n_v = 2 with and
-# without dj ("probes")
+# per-pair sweep counts: exact_apjn and measure_pairs without dj at n_v = 0
+# ("exact"), measure_pairs with dj at n_v = 0 ("exact-dj"), and measure_pairs
+# at n_v = 2 with and without dj ("probes"); a one-row basis is one sweep
+# with or without dj
 SWEEP_COUNTS = {
     "relu-mlp": (relu_mlp(3, 200, SQRT2, 0.1),
-                 {"exact": {}, "exact-dj": {0: 2, 1: 2, 2: 2}, "probes": {0: 2, 1: 2, 2: 2}}),
+                 {"exact": {0: 1, 1: 1, 2: 1}, "exact-dj": {0: 1, 1: 1, 2: 1},
+                  "probes": {0: 2, 1: 2, 2: 2}}),
     "conv-relu": (NetworkSpec((conv2d(4, 3, 1.4, 0.1, padding=1), activation("relu", boundary=True),
                                conv2d(5, 3, 1.4, 0.1, stride=2),
                                activation("relu", boundary=True)), (4, 6, 6)),
-                  {"exact": {}, "exact-dj": {0: 2, 1: 1}, "probes": {0: 2, 1: 2}}),
+                  {"exact": {0: 1, 1: 1}, "exact-dj": {0: 1, 1: 1}, "probes": {0: 2, 1: 2}}),
     "conv-bn": (conv_bn_relu_stack((3, 4), 1.3, 0.2, image=(2, 5, 5)),
                 {"exact": {0: 2, 1: 3}, "exact-dj": {0: 2, 1: 3}, "probes": {0: 2, 1: 2}}),
 }
@@ -442,12 +497,12 @@ def test_sweep_counts_per_pair(name, monkeypatch):
 
 
 def test_budget_covers_sweep_free_segments():
-    # the budget does not exempt a segment whose norm needs no sweep, so
-    # "auto" picks the estimator where the Jacobian would not fit
+    # the budget does not exempt a segment whose basis is one row, so "auto"
+    # picks the estimator where the Jacobian would not fit
     spec = relu_mlp(1, 40, SQRT2)
     x, params, aux, rng = _mlp_setup(spec, 17, 4)
     state = run_network(spec, params, aux, x)
-    assert _sweep_free_apjn(state, 0, 1) is not None
+    assert _one_row(state, 0, 1)
     with pytest.raises(ResourceBudgetError, match="estimate_segment"):
         exact_apjn(state, 0, 1, max_entries=40 * 40 - 1)
     report = apjn_profile(spec, params, aux, x, 1, method="auto", n_v=4,

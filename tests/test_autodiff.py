@@ -198,7 +198,7 @@ def _fd_grad(spec, params, aux, x, cfg, rng, h=1e-5):
 
 
 # lower boundaries of the CASES pairs that are one weight block followed only
-# by diagonal blocks
+# by diagonal blocks, whose exact basis is one row
 SWEEP_FREE_PAIRS = {"dense": {0}, "gelu": {0}, "relu": {0}, "patch": {0}, "resmlp": {0}}
 
 
@@ -221,11 +221,12 @@ def test_measure_pairs_without_dj_tapes_nothing(name, n_v, monkeypatch):
                            apjn.estimate_segment(state, l, l + 1, n_v, probes.child(l))[0]
                            for l in range(spec.n_boundaries - 1)])
 
-    log = []   # (b0, b1, taped) per sweep, as the tuner tests record them
+    log = []   # (b0, b1, taped, sweep, rows, start) per sweep
 
     def sweeper(fn):
         def sweep(state, b0, b1, stack, tape=None, **kwargs):
-            log.append((b0, b1, tape is not None))
+            log.append((b0, b1, tape is not None, fn.__name__, stack.shape[0],
+                        kwargs.get("start", 0)))
             return fn(state, b0, b1, stack, tape, **kwargs)
         return sweep
 
@@ -238,11 +239,13 @@ def test_measure_pairs_without_dj_tapes_nothing(name, n_v, monkeypatch):
     js, grads = apjn.measure_pairs(state, n_v, probes)
     assert grads is None
     assert js.tobytes() == taped.tobytes() == one_by_one.tobytes(), (js, taped, one_by_one)
-    # at n_v = 0 a pair whose exact norm has a sweep-free form makes no sweep
-    swept = set(range(spec.n_boundaries - 1)) - (SWEEP_FREE_PAIRS.get(name, set()) if n_v == 0
-                                                 else set())
-    assert {b0 for b0, _, _ in log} == swept
-    assert not any(taped for _, _, taped in log), log
+    # every pair is swept; at n_v = 0 a one-row pair once, forward, with one
+    # row entering after its weight block
+    assert {b0 for b0, *_ in log} == set(range(spec.n_boundaries - 1))
+    assert not any(taped for _, _, taped, *_ in log), log
+    if n_v == 0:
+        for b0 in SWEEP_FREE_PAIRS.get(name, set()):
+            assert [s[3:] for s in log if s[0] == b0] == [("jvp_segment", 1, 1)], (b0, log)
 
 
 def _probes_on(side):

@@ -268,6 +268,13 @@ def test_missing_config_gives_exit_2(tmp_path):
     assert main(["measure", "--config", str(tmp_path / "absent.cfg")]) == 2
 
 
+def test_directory_data_path_gives_exit_2(tmp_path):
+    cfg = tmp_path / "dir.cfg"
+    cfg.write_text(f"data.source = cifar10-binary\ndata.path = {tmp_path}\ndata.batch = 2\n"
+                   "net.input = 3072\nnet.block.01 = dense out=4 sigma_w=1.0\n")
+    assert main(["measure", "--config", str(cfg)]) == 2
+
+
 def test_bad_block_config_gives_exit_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("net.input = 4\nnet.block.01 = dense out=4\n")

@@ -60,6 +60,17 @@ def test_missing_file_and_env_root(tmp_path, monkeypatch):
     assert imgs.shape == (4, 3, 32, 32)
 
 
+def test_directory_is_not_a_data_file(tmp_path, monkeypatch):
+    # a directory given as the path, or reached from an empty path through
+    # the data root, is no file: "not found", not an IsADirectoryError
+    monkeypatch.delenv("CRIT_TUNER_DATA", raising=False)
+    with pytest.raises(FormatError, match="not found"):
+        load_cifar10(str(tmp_path), 2)
+    monkeypatch.setenv("CRIT_TUNER_DATA", str(tmp_path))
+    with pytest.raises(FormatError, match="not found"):
+        load_cifar10("", 2)
+
+
 def test_gaussian_batch_normalized():
     x = gaussian_batch((3, 8, 8), 10, RngStream(1))
     assert x.shape == (10, 3, 8, 8)

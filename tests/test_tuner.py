@@ -196,7 +196,7 @@ def test_divergence_raises_with_trace():
 
 def _record_sweeps(monkeypatch):
     """Log each forward pass the tuner starts, as ("run",), and each segment
-    sweep, as ("sweep", b0, b1, taped)."""
+    sweep, as ("sweep", b0, b1, taped, rows, start)."""
     log = []
 
     def run(*args, **kwargs):
@@ -205,7 +205,8 @@ def _record_sweeps(monkeypatch):
 
     def sweeper(fn):
         def sweep(state, b0, b1, stack, tape=None, **kwargs):
-            log.append(("sweep", b0, b1, tape is not None))
+            log.append(("sweep", b0, b1, tape is not None, stack.shape[0],
+                        kwargs.get("start", 0)))
             return fn(state, b0, b1, stack, tape, **kwargs)
         return sweep
 
@@ -221,7 +222,7 @@ def _sweeps_per_step(log):
         if event[0] == "run":
             steps.append([])
         else:
-            steps[-1].append(event[1:])
+            steps[-1].append(event[1:4])
     return steps
 
 
@@ -275,10 +276,12 @@ def test_exact_tune_on_non_finite_boundaries_stops_at_step_zero(n_v, monkeypatch
     assert len(steps) == 1
     assert np.all(np.isfinite(steps[0].js[:52]))
     assert np.all(np.isnan(steps[0].js[52:]))
-    # the non-finite pairs are never swept; at n_v = 0 neither are the finite
-    # ones, whose exact norms (one dense block and a ReLU each) need no sweep
-    swept = {event[1] for event in log if event[0] == "sweep"}
-    assert swept == (set() if n_v == 0 else set(range(52))), sorted(swept)
+    # the non-finite pairs are never swept; at n_v = 0 each finite one (one
+    # dense block and a ReLU) is swept once, one row entering after the dense
+    sweeps = [event for event in log if event[0] == "sweep"]
+    assert {event[1] for event in sweeps} == set(range(52)), sweeps
+    if n_v == 0:
+        assert len(sweeps) == 52 and all(event[4:] == (1, 1) for event in sweeps), sweeps
 
 
 @pytest.mark.parametrize("n_v", [0, 2])
