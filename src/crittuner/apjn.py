@@ -12,13 +12,14 @@ pushed forward; any other segment sweeps the identity of its narrower side
 (forward columns or reverse rows); a forward basis that enters through a
 dense block starts from its weight rows, which are that block's image of
 the identity bit for bit. ``estimate_segment`` is the unbiased Monte-Carlo
-version driven by Gaussian probe vectors, one sweep per probe: rows on the
-upper boundary pulled back, or, where batch norm couples the segment,
-tangents on the lower boundary pushed forward. ``measure_pairs`` measures
-every adjacent pair either way and, when asked, gives the exact gradient
-in the twin network's scalars from the same sweeps, taped and reversed at
-once; otherwise it tapes nothing. A pair with a non-finite boundary
-activation measures NaN, since a ReLU mask would read NaN as inactive.
+version driven by Gaussian probe vectors, a term per probe: rows on the
+upper boundary pulled back in one stack, or, where batch norm couples the
+segment, tangents on the lower boundary pushed forward one at a time.
+``measure_pairs`` measures every adjacent pair either way, with its
+stderr, and, when asked, gives the exact gradient in the twin network's
+scalars from the same sweeps, taped and reversed at once; otherwise it
+tapes nothing. A pair with a non-finite boundary activation measures NaN,
+since a ReLU mask would read NaN as inactive.
 
 Networks without batch normalization have batch-block-diagonal Jacobians,
 so both paths collapse the batch index and a single broadcast basis covers
@@ -151,29 +152,24 @@ def _basis(state: ForwardState, l0: int, l1: int) -> tuple[bool, int, Iterable[A
 
 
 def _probes(state: ForwardState, l0: int, l1: int, n_v: int,
-            rng: RngStream | None) -> tuple[bool, int, Iterable[Iterable[Array]]]:
-    """Sweep direction (True: forward), the block the sweeps enter at, and,
-    per probe, its tangent stacks.
-
-    ``n_v = 0`` gives one probe, the exact basis of the segment
-    (:func:`_basis`): one row where the segment is one weight block followed
-    by diagonal ones, the identity of the narrower side elsewhere. Otherwise
-    each of the ``n_v`` probes is a fresh draw from ``rng``, taken lazily in
-    probe order: a Gaussian tangent on the lower boundary, pushed forward,
-    where batch norm couples the segment (one sweep per probe, where an
-    upper-boundary row would need one per sample); elsewhere a Gaussian row
-    on the upper boundary, pulled back.
+            rng: RngStream | None) -> tuple[bool, int, Iterable[Array]]:
+    """Sweep direction (True: forward), the block the sweeps enter at, and
+    the tangent stacks: at ``n_v = 0`` the exact basis (:func:`_basis`),
+    otherwise one row per probe, in probe order, drawn from ``rng``. Where
+    batch norm couples the segment, each probe is a Gaussian tangent on the
+    lower boundary, drawn lazily and pushed forward in a sweep of its own
+    (an upper-boundary row would need one row per sample); elsewhere the
+    probes are Gaussian rows on the upper boundary, drawn in one call and
+    pulled back together, at most ``_CHUNK`` rows per stack.
     """
     if n_v == 0:
-        forward, start, stacks = _basis(state, l0, l1)
-        return forward, start, [stacks]
+        return _basis(state, l0, l1)
     spec = state.spec
     d0, d1 = spec.boundary_dim(l0), spec.boundary_dim(l1)
     bsz = state.batch_size
     if spec.segment_has_batchnorm(l0, l1):
-        return True, 0, ([rng.normal((1, bsz, d0))] for _ in range(n_v))
-    return False, 0, (_row_stacks(rng.normal(d1)[None].__getitem__, 1, bsz, False)
-                      for _ in range(n_v))
+        return True, 0, (rng.normal((1, bsz, d0)) for _ in range(n_v))
+    return False, 0, _row_stacks(rng.normal((n_v, d1)).__getitem__, n_v, bsz, False)
 
 
 def _reverse(state: ForwardState, l0: int, l1: int, tape: list, forward: bool,
@@ -232,8 +228,9 @@ def _finite_ends(state: ForwardState, l0: int, l1: int) -> bool:
 def _terms(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngStream | None,
            record: list | None = None, max_entries: int = DEFAULT_MAX_ENTRIES) -> Array:
     """Per-probe terms of the (l0, l1) norm (``n_v = 0``: one term, the exact
-    norm): the sum of squares of each probe's tangent stacks (:func:`_probes`)
-    pushed forward to l1 or pulled back to l0, over the batch size and the
+    norm): the stacks of :func:`_probes` pushed forward to l1 or pulled back
+    to l0, each probe's term the sum of squares of its run of consecutive
+    output rows (one row each from ``_probes``), over the batch size and the
     width of l1; ``[nan]``, without sweeping, when either boundary activation
     is non-finite. With a ``record``, each sweep is taped and reversed at
     once (:func:`_reverse`), so the norm and its gradient come from the same
@@ -244,20 +241,27 @@ def _terms(state: ForwardState, l0: int, l1: int, n_v: int, rng: RngStream | Non
             f"use estimate_segment instead")
     if not _finite_ends(state, l0, l1):
         return np.array([np.nan])
-    forward, start, probes = _probes(state, l0, l1, n_v, rng)
-    ssq = []
-    for stacks in probes:
-        ssq.append(0.0)
-        for t in stacks:
-            tape = None if record is None else [None] * start
-            if forward:
-                out = jvp_segment(state, l0, l1, t, tape, start=start)
-            else:
-                out = vjp_segment(state, l0, l1, t, tape)
-            ssq[-1] += float(np.sum(out * out))
-            if record is not None:
-                _reverse(state, l0, l1, tape, forward, record)
-    return np.array(ssq) / (state.batch_size * state.spec.boundary_dim(l1))
+    forward, start, stacks = _probes(state, l0, l1, n_v, rng)
+    ssq = []  # per probe row, or per basis stack, its output's sum of squares
+    for t in stacks:
+        tape = None if record is None else [None] * start
+        if forward:
+            out = jvp_segment(state, l0, l1, t, tape, start=start)
+        else:
+            out = vjp_segment(state, l0, l1, t, tape)
+        ssq.append(np.sum(np.reshape(out * out, (len(out) if n_v else 1, -1)), axis=1))
+        if record is not None:
+            _reverse(state, l0, l1, tape, forward, record)
+    # a left fold within each term, so a basis adds its stacks in sweep order
+    terms = np.cumsum(np.concatenate(ssq).reshape(max(n_v, 1), -1), axis=1)[:, -1]
+    return terms / (state.batch_size * state.spec.boundary_dim(l1))
+
+
+def _mean_stderr(terms: Array, n_v: int) -> tuple[float, float]:
+    """Mean of the terms and its stderr: 0.0 if exact, NaN for one probe or term."""
+    if terms.size > 1:
+        return float(terms.mean()), float(terms.std(ddof=1) / np.sqrt(n_v))
+    return float(terms[0]), 0.0 if n_v == 0 and np.isfinite(terms[0]) else float("nan")
 
 
 def exact_apjn(state: ForwardState, l0: int, l1: int, *,
@@ -281,30 +285,29 @@ def estimate_segment(state: ForwardState, l0: int, l1: int, n_v: int,
     activation is non-finite (stderr is also NaN for a single probe).
 
     Each probe contracts a fresh unit Gaussian vector with the upper
-    boundary and pulls it back or, where batch norm couples the segment,
-    pushes a Gaussian tangent forward from the lower one (see
-    :func:`_probes`).
+    boundary, and all ``n_v`` are pulled back together; where batch norm
+    couples the segment, each pushes a Gaussian tangent forward from the
+    lower one in a sweep of its own (see :func:`_probes`).
     """
     if n_v < 1:
         raise ValueError(f"need at least one probe vector, got {n_v}")
-    terms = _terms(state, l0, l1, n_v, rng)
-    stderr = float(terms.std(ddof=1) / np.sqrt(n_v)) if terms.size > 1 else float("nan")
-    return float(terms.mean()), stderr
+    return _mean_stderr(_terms(state, l0, l1, n_v, rng), n_v)
 
 
 def measure_pairs(state: ForwardState, n_v: int, rng: RngStream | None,
                   dj: Callable[[float], float] | None = None,
-                  kernels: dict | None = None) -> tuple[Array, dict | None]:
-    """Norm ``J_l`` of every (l, l+1) pair, as :func:`exact_apjn` (``n_v =
-    0``) or :func:`estimate_segment` with ``rng.child(l)`` measures it on
-    ``state``, and, given ``dj``, the exact gradient, with the same basis or
-    probes, of ``sum_l dj(J_l) J_l + sum_b kernels[b] K_b`` in every scalar
-    of ``state.aux`` (``K_b`` the kernel,
-    :func:`~crittuner.losses.kernel_profile`); without ``dj`` the gradient
-    is None and nothing is taped.
+                  kernels: dict | None = None) -> tuple[Array, Array, dict | None]:
+    """Norm ``J_l`` of every (l, l+1) pair and its standard error, as
+    :func:`exact_apjn` (``n_v = 0``, stderr 0.0) or :func:`estimate_segment`
+    with ``rng.child(l)`` measures them on ``state``, and, given ``dj``, the
+    exact gradient, with the same basis or probes, of ``sum_l dj(J_l) J_l +
+    sum_b kernels[b] K_b`` in every scalar of ``state.aux`` (``K_b`` the
+    kernel, :func:`~crittuner.losses.kernel_profile`); without ``dj`` the
+    gradient is None and nothing is taped.
 
     Segments go top-down, one segment's tapes and records at a time: each
-    probe sweep of a pair is taped and reversed at once, the partials are
+    sweep of a pair (one stack of all its probe rows, where batch norm does
+    not couple it) is taped and reversed at once, the partials are
     weighted once the pair's norm is known, and a pullback through the
     forward map carries the cotangent to the boundary below. Once some
     ``dj(J_l)`` is non-finite, every partial is NaN and the pairs below are
@@ -312,14 +315,15 @@ def measure_pairs(state: ForwardState, n_v: int, rng: RngStream | None,
     """
     spec = state.spec
     top = spec.n_boundaries - 1
-    js = np.empty(top)
+    js, errs = np.empty(top), np.empty(top)
     live = dj is not None
     grads = dict.fromkeys(state.aux.keys(), 0.0) if live else None
     g = np.zeros_like(state.boundary(top)) if live else None
     for b in range(top, 0, -1):
         l0 = b - 1
         record = [] if live else None
-        js[l0] = _terms(state, l0, b, n_v, rng.child(l0) if n_v else None, record).mean()
+        js[l0], errs[l0] = _mean_stderr(_terms(state, l0, b, n_v, rng.child(l0) if n_v else None,
+                                               record), n_v)
         if not live:
             continue
         weight = dj(float(js[l0]))
@@ -339,7 +343,7 @@ def measure_pairs(state: ForwardState, n_v: int, rng: RngStream | None,
                 c *= 2.0 * w
                 extra[k] = c if extra[k] is None else extra[k] + c
         g = pullback_segment(state, l0, b, g, extra, grads)
-    return js, grads
+    return js, errs, grads
 
 
 def profile_pairs(spec: NetworkSpec, k: int) -> list[tuple[int, int]]:

@@ -153,7 +153,7 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     blocks: list[tuple[int, BlockSpec]] = []
     input_shape: tuple[int, ...] | None = None
-    tune_kv: dict[str, str] = {}
+    tune_kv: dict[str, object] = {}  # tune key -> value, cast where the key has a type
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -214,7 +214,8 @@ def _apply_key(cfg: ExperimentConfig, key: str, value: str, blocks, tune_kv):
             raise ConfigError(f"unknown measure method {value!r}")
         cfg.measure.method = value
     elif key.startswith("tune.") and key[5:] in _TUNE_KEYS:
-        tune_kv[key[5:]] = value
+        cast = _TUNE_KEYS[key[5:]][1]
+        tune_kv[key[5:]] = value if cast is None else cast(value)
     elif key == "scan.mode":
         if value not in ("measure", "tune"):
             raise ConfigError(f"unknown scan mode {value!r}")
@@ -251,16 +252,17 @@ _TUNE_KEYS = {
 }
 
 
-def _apply_tune(cfg: ExperimentConfig, kv: dict[str, str]):
+def _apply_tune(cfg: ExperimentConfig, kv: dict):
+    """Apply the tune keys, their values already cast, in one validated step."""
     updates = {}
     for k, v in kv.items():
-        attr, cast = _TUNE_KEYS[k]
+        attr = _TUNE_KEYS[k][0]
         if k == "fresh_batch":
             updates[attr] = _parse_bool(v, f"tune.{k}")
         elif k == "aux":
             updates[attr] = v if v in ("default", "all", "none") else frozenset(v.split(","))
         else:
-            updates[attr] = cast(v)
+            updates[attr] = v
     try:
         cfg.tune = replace(cfg.tune, **updates)
     except ValueError as exc:

@@ -1,16 +1,17 @@
 """SGD on the twin network's auxiliary scalars.
 
-Each step measures the Jacobian norm of every (l, l+1) pair (and the
-kernels, for the kernel-augmented loss) on a fixed parameter draw, forms
-the loss, steps the scalars down its gradient, and logs everything. The
-tuned scalars are folded into the returned network's sigmas and
-parameters. Every step measures through one function,
+Each step measures the Jacobian norm of every (l, l+1) pair, with its
+standard error (and the kernels, for the kernel-augmented loss), on a fixed
+parameter draw, forms the loss, steps the scalars down its gradient, and
+logs everything. The tuned scalars are folded into the returned network's
+sigmas and parameters. Every step measures through one function,
 :func:`crittuner.apjn.measure_pairs`, which takes the gradient only when
 asked. Gradients are either exact or, for ReLU stacks, the closed form
 ``2 log(J) / a`` per layer. The exact gradient is that of the measured
-estimator itself, taken in the same pass: each probe sweep of the
-measurement is taped and reversed at once, and one pullback through the
-network follows. The last step, and every step of the closed form, only
+estimator itself, taken in the same pass: each sweep of the measurement
+(one stack of a pair's probe rows, or, where batch norm couples the pair,
+one probe tangent) is taped and reversed at once, and one pullback through
+the network follows. The last step, and every step of the closed form, only
 measures.
 
 Also here: the closed-form learning rates for ReLU stacks - the per-layer
@@ -68,10 +69,14 @@ class TuneConfig:
     fresh_batch: bool = False
 
     def __post_init__(self):
+        for name in ("eta", "lam", "bound_safety"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
+        if not self.eps >= 0:  # NaN fails too
+            raise ValueError(f"eps must be >= 0, got {self.eps}")
         if self.loss not in ("jll", "jsl", "jkl"):
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.schedule not in ("constant", "relu-bound", "one-step"):
@@ -97,6 +102,7 @@ class TuneStep:
     js: np.ndarray
     aux: np.ndarray
     eta: float
+    stderr: np.ndarray        # per pair: 0.0 for exact norms, NaN for one probe
 
 
 @dataclass
@@ -146,9 +152,10 @@ class TuneResult:
 # --------------------------------------------------------------------------
 
 def _measure(spec, params, aux, batch, cfg: TuneConfig, rng: RngStream, grad: bool):
-    """Per-pair norms, kernels and, when ``grad``, the exact gradient of
-    their loss from the same probe sweeps, else None (:func:`measure_pairs`;
-    pair l draws its probes from ``rng.child(l)``)."""
+    """Per-pair norms and their standard errors, kernels and, when
+    ``grad``, the exact gradient of their loss from the same probe sweeps,
+    else None (:func:`measure_pairs`; pair l draws its probes from
+    ``rng.child(l)``)."""
     state = run_network(spec, params, aux, batch)
     ks = kernel_profile(state)
     dj = kernels = None
@@ -156,8 +163,8 @@ def _measure(spec, params, aux, batch, cfg: TuneConfig, rng: RngStream, grad: bo
         at_ones = _loss(cfg, np.ones(len(ks) - 1), ks)  # kernel partials do not read the norms
         kernels = {} if at_ones is None or at_ones.dk is None else dict(enumerate(at_ones.dk.tolist()))
         dj = partial(_dj, cfg)
-    js, grads = measure_pairs(state, cfg.n_v, rng, dj, kernels)
-    return js, ks, grads
+    js, errs, grads = measure_pairs(state, cfg.n_v, rng, dj, kernels)
+    return js, errs, ks, grads
 
 
 def _dj(cfg: TuneConfig, j: float) -> float:
@@ -211,7 +218,7 @@ def grad_aux(spec: NetworkSpec, params: ParamSet, aux: AuxScalars, batch: Array,
     kernel-augmented loss at sigma_b = 0) and bias scalars get zero.
     """
     exact = cfg.grad_mode == "exact"
-    js, ks, grads = _measure(spec, params, aux, batch, cfg, rng, exact)
+    js, _, ks, grads = _measure(spec, params, aux, batch, cfg, rng, exact)
     trace = TuneTrace(aux.keys())
     if exact and _loss(cfg, js, ks) is None:
         raise DivergenceError("loss non-finite", trace)
@@ -285,9 +292,9 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
             raise ValueError(f"schedule needs one weight block per pair; pairs {missing} differ")
 
     t = 0
-    js, ks, grads = measure(t, aux)
+    js, errs, ks, grads = measure(t, aux)
     loss = _loss_of(cfg, js, ks)
-    trace.append(TuneStep(t, loss, js.copy(), aux.as_vector(), 0.0))
+    trace.append(TuneStep(t, loss, js.copy(), aux.as_vector(), 0.0, errs))
     if not math.isfinite(loss):
         raise DivergenceError("initial loss non-finite", trace)
 
@@ -316,12 +323,12 @@ def tune(spec: NetworkSpec, params: ParamSet, batch: Array, cfg: TuneConfig,
         new_vals = {key: aux.get(*key) - rates[key] * grads.get(key, 0.0) for key in keys}
         aux = AuxScalars(new_vals).clamped(*AUX_CLAMP)
         t += 1
-        js, ks, grads = measure(t, aux)
+        js, errs, ks, grads = measure(t, aux)
         loss = _loss_of(cfg, js, ks)
         if not math.isfinite(loss):
-            trace.append(TuneStep(t, float("inf"), js.copy(), aux.as_vector(), eta_used))
+            trace.append(TuneStep(t, float("inf"), js.copy(), aux.as_vector(), eta_used, errs))
             raise DivergenceError(f"loss diverged at step {t}", trace)
-        trace.append(TuneStep(t, loss, js.copy(), aux.as_vector(), eta_used))
+        trace.append(TuneStep(t, loss, js.copy(), aux.as_vector(), eta_used, errs))
 
     return TuneResult(scale_spec_sigmas(spec, aux), scale_params(spec, params, aux),
                       AuxScalars({k: 1.0 for k in aux.values}), trace, loss <= cfg.eps, t)

@@ -258,7 +258,7 @@ def _basis_sweep_apjn(state, l0, l1):
     """The basis sweep that exact norms and their gradients use: the
     ``_probes`` stacks at ``n_v = 0`` pushed through the segment from the
     block they enter at."""
-    forward, start, (stacks,) = _probes(state, l0, l1, 0, None)
+    forward, start, stacks = _probes(state, l0, l1, 0, None)
     ssq = 0.0
     for t in stacks:
         if forward:
@@ -426,12 +426,12 @@ def test_one_row_gradient_matches_basis_gradient(weight, follow, batch, monkeypa
         return 1.0 + j * j
 
     assert all(_one_row(state, l, l + 1) for l in pairs)
-    js, got = measure_pairs(state, 0, None, dj, {})
+    js, _, got = measure_pairs(state, 0, None, dj, {})
     # without row norms every segment falls back to the identity basis
     for op in OPS.values():
         monkeypatch.setattr(type(op), "row_sq", lambda self, blk, cache: None)
     assert not any(_one_row(state, l, l + 1) for l in pairs)
-    want_js, want = measure_pairs(state, 0, None, dj, {})
+    want_js, _, want = measure_pairs(state, 0, None, dj, {})
     assert js == pytest.approx(want_js, rel=1e-12, abs=0)
     assert set(got) == set(want)
     scale = max(abs(v) for v in want.values())
@@ -462,15 +462,16 @@ def test_other_segments_still_sweep(name, monkeypatch):
 # per-pair sweep counts: exact_apjn and measure_pairs without dj at n_v = 0
 # ("exact"), measure_pairs with dj at n_v = 0 ("exact-dj"), and measure_pairs
 # at n_v = 2 with and without dj ("probes"); a one-row basis is one sweep
-# with or without dj
+# with or without dj, and so are the stacked probe rows of a pair without
+# batch norm, which sweeps one probe at a time
 SWEEP_COUNTS = {
     "relu-mlp": (relu_mlp(3, 200, SQRT2, 0.1),
                  {"exact": {0: 1, 1: 1, 2: 1}, "exact-dj": {0: 1, 1: 1, 2: 1},
-                  "probes": {0: 2, 1: 2, 2: 2}}),
+                  "probes": {0: 1, 1: 1, 2: 1}}),
     "conv-relu": (NetworkSpec((conv2d(4, 3, 1.4, 0.1, padding=1), activation("relu", boundary=True),
                                conv2d(5, 3, 1.4, 0.1, stride=2),
                                activation("relu", boundary=True)), (4, 6, 6)),
-                  {"exact": {0: 1, 1: 1}, "exact-dj": {0: 1, 1: 1}, "probes": {0: 2, 1: 2}}),
+                  {"exact": {0: 1, 1: 1}, "exact-dj": {0: 1, 1: 1}, "probes": {0: 1, 1: 1}}),
     "conv-bn": (conv_bn_relu_stack((3, 4), 1.3, 0.2, image=(2, 5, 5)),
                 {"exact": {0: 2, 1: 3}, "exact-dj": {0: 2, 1: 3}, "probes": {0: 2, 1: 2}}),
 }
@@ -511,3 +512,88 @@ def test_budget_covers_sweep_free_segments():
     report = apjn_profile(spec, params, aux, x, 1, method="auto", rng=rng.child(5),
                           max_entries=40 * 40)
     assert [p.method for p in report.pairs] == ["exact"]
+
+
+# one pair that batch norm couples, (0, 1), and one it does not, (1, 2)
+STACKED = NetworkSpec((dense(12, 1.2, 0.3), batchnorm(), activation("relu", boundary=True),
+                       dense(10, 1.1), activation("tanh", boundary=True)), (9,))
+
+
+def _per_probe_terms(state, l0, l1, n_v, rng):
+    """Reference for the probe terms: each probe drawn by its own call, as a
+    Gaussian tangent on l0 where batch norm couples the segment, else as a
+    Gaussian row on l1, and swept alone."""
+    spec, bsz = state.spec, state.batch_size
+    d0, d1 = spec.boundary_dim(l0), spec.boundary_dim(l1)
+    terms = []
+    for _ in range(n_v):
+        if spec.segment_has_batchnorm(l0, l1):
+            out = jvp_segment(state, l0, l1, rng.normal((1, bsz, d0)))
+        else:
+            out = vjp_segment(state, l0, l1, np.broadcast_to(rng.normal(d1), (1, bsz, d1)).copy())
+        terms.append(float(np.sum(out * out)) / (bsz * d1))
+    return np.array(terms)
+
+
+@pytest.mark.parametrize("with_dj", [False, True], ids=["no-dj", "dj"])
+@pytest.mark.parametrize("n_v", [1, 2, 5, 130])
+def test_probe_rows_are_stacked_per_pair(n_v, with_dj, monkeypatch):
+    # a pair without batch norm pulls all its probe rows back in stacks of at
+    # most 128; a coupled pair pushes one tangent forward per sweep; both draw
+    # what a per-probe loop draws, and give its terms
+    state = _bit_identity_state(STACKED, 4)
+    refs = {l: RngStream(5).child(l) for l in (0, 1)}
+    want = {l: _per_probe_terms(state, l, l + 1, n_v, refs[l]) for l in (0, 1)}
+
+    streams, terms, log = {}, {}, []
+    child, real_terms = RngStream.child, apjn._terms
+
+    def recorded_child(self, tag):
+        streams[tag] = child(self, tag)
+        return streams[tag]
+
+    def recorded_terms(state, l0, l1, *args, **kwargs):
+        terms[l0] = real_terms(state, l0, l1, *args, **kwargs)
+        return terms[l0]
+
+    def sweeper(fn):
+        def sweep(state, b0, b1, stack, tape=None, **kwargs):
+            log.append((b0, fn.__name__, stack.shape[0]))
+            return fn(state, b0, b1, stack, tape, **kwargs)
+        return sweep
+
+    monkeypatch.setattr(RngStream, "child", recorded_child)
+    monkeypatch.setattr(apjn, "_terms", recorded_terms)
+    monkeypatch.setattr(apjn, "jvp_segment", sweeper(jvp_segment))
+    monkeypatch.setattr(apjn, "vjp_segment", sweeper(vjp_segment))
+    js, errs, grads = measure_pairs(state, n_v, RngStream(5), (lambda j: 1.0 + j * j) if with_dj
+                                    else None)
+    assert (grads is not None) == with_dj
+    n_stacks = -(-n_v // 128)
+    assert [rows for b0, name, rows in log if b0 == 1 and name == "vjp_segment"] == \
+        [min(128, n_v - 128 * c) for c in range(n_stacks)]
+    assert [rows for b0, name, rows in log if b0 == 0 and name == "jvp_segment"] == [1] * n_v
+    assert len(log) == n_v + n_stacks
+    for l in (0, 1):
+        assert streams[l].counter == refs[l].counter, l
+        assert terms[l] == pytest.approx(want[l], rel=1e-12, abs=0), l
+        assert js[l] == pytest.approx(want[l].mean(), rel=1e-12, abs=0), l
+        if n_v == 1:
+            assert np.isnan(errs[l])
+        else:
+            assert errs[l] == pytest.approx(want[l].std(ddof=1) / np.sqrt(n_v), rel=1e-9), l
+
+
+def test_measure_pairs_stderr_follows_estimate_segment():
+    # exact norms carry stderr 0.0, a single probe NaN, and n_v >= 2 probes
+    # the stderr estimate_segment gives, bit for bit
+    state = _bit_identity_state(STACKED, 4)
+    _, errs, _ = measure_pairs(state, 0, None)
+    assert errs.tolist() == [0.0, 0.0]
+    _, errs, _ = measure_pairs(state, 1, RngStream(5))
+    assert np.all(np.isnan(errs))
+    js, errs, _ = measure_pairs(state, 3, RngStream(5))
+    for l in (0, 1):
+        value, stderr = estimate_segment(state, l, l + 1, 3, RngStream(5).child(l))
+        assert (js[l], errs[l]) == (value, stderr)
+        assert stderr > 0

@@ -191,7 +191,7 @@ def _fd_grad(spec, params, aux, x, cfg, rng, h=1e-5):
             vec = base.copy()
             vec[n] = base[n] * (1.0 + sign * h)
             shifted = AuxScalars(dict(zip(aux.keys(), vec)))
-            js, ks, _ = tuner._measure(spec, params, shifted, x, cfg, rng, False)
+            js, _, ks, _ = tuner._measure(spec, params, shifted, x, cfg, rng, False)
             losses.append(tuner._loss_of(cfg, js, ks))
         grads[key] = (losses[0] - losses[1]) / (2.0 * base[n] * h)
     return grads
@@ -205,8 +205,9 @@ SWEEP_FREE_PAIRS = {"dense": {0}, "gelu": {0}, "relu": {0}, "patch": {0}, "resml
 @pytest.mark.parametrize("n_v", [0, 2])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_measure_pairs_without_dj_tapes_nothing(name, n_v, monkeypatch):
-    # the norms are those of the taped pass and of the single-pair
-    # functions, bit for bit; no sweep is taped and nothing is pulled back
+    # the norms and their stderrs are those of the taped pass and of the
+    # single-pair functions, bit for bit; no sweep is taped and nothing is
+    # pulled back
     spec = CASES[name]
     rng = RngStream(zlib.crc32(name.encode()) % 1000)
     aux = AuxScalars.ones(spec, "all")
@@ -215,11 +216,12 @@ def test_measure_pairs_without_dj_tapes_nothing(name, n_v, monkeypatch):
     x = rng.child(2).normal((4, *spec.input_shape))
     state = run_network(spec, init_params(spec, rng.child(1)), aux, x)
     probes = rng.child(3) if n_v else None
-    taped, taped_grads = apjn.measure_pairs(state, n_v, probes, lambda j: 1.0, {})
+    taped, taped_errs, taped_grads = apjn.measure_pairs(state, n_v, probes, lambda j: 1.0, {})
     assert taped_grads is not None
-    one_by_one = np.array([apjn.exact_apjn(state, l, l + 1) if n_v == 0 else
-                           apjn.estimate_segment(state, l, l + 1, n_v, probes.child(l))[0]
+    one_by_one = np.array([(apjn.exact_apjn(state, l, l + 1), 0.0) if n_v == 0 else
+                           apjn.estimate_segment(state, l, l + 1, n_v, probes.child(l))
                            for l in range(spec.n_boundaries - 1)])
+    one_by_one, one_by_one_errs = one_by_one[:, 0].copy(), one_by_one[:, 1].copy()
 
     log = []   # (b0, b1, taped, sweep, rows, start) per sweep
 
@@ -236,9 +238,10 @@ def test_measure_pairs_without_dj_tapes_nothing(name, n_v, monkeypatch):
     monkeypatch.setattr(apjn, "jvp_segment", sweeper(jvp_segment))
     monkeypatch.setattr(apjn, "vjp_segment", sweeper(vjp_segment))
     monkeypatch.setattr(apjn, "pullback_segment", no_pullback)
-    js, grads = apjn.measure_pairs(state, n_v, probes)
+    js, errs, grads = apjn.measure_pairs(state, n_v, probes)
     assert grads is None
     assert js.tobytes() == taped.tobytes() == one_by_one.tobytes(), (js, taped, one_by_one)
+    assert errs.tobytes() == taped_errs.tobytes() == one_by_one_errs.tobytes()
     # every pair is swept; at n_v = 0 a one-row pair once, forward, with one
     # row entering after its weight block
     assert {b0 for b0, *_ in log} == set(range(spec.n_boundaries - 1))
@@ -251,19 +254,24 @@ def test_measure_pairs_without_dj_tapes_nothing(name, n_v, monkeypatch):
 def _probes_on(side):
     """A stand-in for :func:`crittuner.apjn._probes` that draws its probes on
     ``side`` for every segment, in the order and from the stream that
-    ``_probes`` draws that side from: Gaussian tangents on the lower boundary
-    ("input"), or Gaussian rows on the upper one, one-hot per sample across
-    batch norm ("output"). The exact basis is left to ``_probes``."""
+    ``_probes`` draws that side from: Gaussian tangents on the lower boundary,
+    one sweep each ("input"), or Gaussian rows on the upper one, stacked
+    ("output"). Across batch norm each output row is placed at one sample
+    at a time, probe-major, so that a probe's rows are consecutive, as
+    ``_terms`` reads them. The exact basis is left to ``_probes``."""
     def probes(state, l0, l1, n_v, rng):
         if n_v == 0:
             return _probes(state, l0, l1, n_v, rng)
         spec, bsz = state.spec, state.batch_size
         if side == "input":
             d0 = spec.boundary_dim(l0)
-            return True, 0, ([rng.normal((1, bsz, d0))] for _ in range(n_v))
-        d1, coupled = spec.boundary_dim(l1), spec.segment_has_batchnorm(l0, l1)
-        return False, 0, (_row_stacks(rng.normal(d1)[None].__getitem__, 1, bsz, coupled)
-                          for _ in range(n_v))
+            return True, 0, (rng.normal((1, bsz, d0)) for _ in range(n_v))
+        rows = rng.normal((n_v, spec.boundary_dim(l1)))
+        if not spec.segment_has_batchnorm(l0, l1):
+            return False, 0, _row_stacks(rows.__getitem__, n_v, bsz, False)
+        stack = np.zeros((n_v * bsz, bsz, rows.shape[1]))
+        stack[np.arange(n_v * bsz), np.arange(n_v * bsz) % bsz] = np.repeat(rows, bsz, axis=0)
+        return False, 0, [stack]
     return probes
 
 

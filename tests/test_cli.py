@@ -275,6 +275,22 @@ def test_directory_data_path_gives_exit_2(tmp_path):
     assert main(["measure", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("line, message", [
+    ("tune.eta = nan", "tune: eta must be finite"),
+    ("tune.lambda = nan", "tune: lam must be finite"),
+    ("tune.bound_safety = nan", "tune: bound_safety must be finite"),
+    ("tune.epsilon = nan", "tune: eps must be >= 0"),
+    ("tune.n_v = 2.5", "tune.n_v: invalid literal for int()"),
+    ("measure.k = 2.5", "measure.k: invalid literal for int()"),
+])
+def test_non_finite_or_non_integer_setting_gives_exit_2(line, message, mlp_cfg, capsys):
+    # a NaN eta used to run and report divergence (exit 3)
+    mlp_cfg.write_text(MLP_CFG + line + "\n")
+    assert main(["tune", "--config", str(mlp_cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+
+
 def test_bad_block_config_gives_exit_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("net.input = 4\nnet.block.01 = dense out=4\n")

@@ -107,6 +107,16 @@ def test_parse_errors_carry_line_numbers():
         for value in ("0", "-3"):
             with pytest.raises(ConfigError, match=f"line 3: measure.{key} must be >= 1"):
                 parse_config(f"seed = 1\n\nmeasure.{key} = {value}\n")
+    # non-integer values of integer keys name the key and the line
+    for key in ("measure.k", "measure.n_v", "tune.n_v", "tune.steps"):
+        with pytest.raises(ConfigError, match=f"^line 2: {key}: invalid literal for int"):
+            parse_config(f"seed = 1\n{key} = 2.5\n")
+    # non-finite tune settings
+    for key, attr in (("eta", "eta"), ("lambda", "lam"), ("bound_safety", "bound_safety")):
+        with pytest.raises(ConfigError, match=f"tune: {attr} must be finite, got nan"):
+            parse_config(f"tune.{key} = nan\n")
+    with pytest.raises(ConfigError, match="tune: eps must be >= 0, got nan"):
+        parse_config("tune.epsilon = nan\n")
     # keys of removed options
     for line in ("tune.fd_step = 0.0001", "tune.probe_mode = auto", "tune.span = include-io",
                  "tune.return = scale-sigmas", "measure.probe_mode = input"):

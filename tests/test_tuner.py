@@ -147,6 +147,45 @@ def test_config_rejects_unknown_probe_mode_and_aux_groups():
         TuneConfig(eta=0.1, grad_mode="finite-difference")
 
 
+@pytest.mark.parametrize("field", ["eta", "lam", "bound_safety", "eps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_settings(field, value):
+    # comparisons with NaN are False, so "<= 0" checks alone let NaN through;
+    # eps may be inf (stop at once), but not NaN
+    if field == "eps" and value == math.inf:
+        assert TuneConfig(eta=0.1, eps=value).eps == math.inf
+        return
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        TuneConfig(**{"eta": 0.1, field: value})
+    if field == "eta":  # checked under every schedule
+        with pytest.raises(ValueError, match="^eta must be finite"):
+            TuneConfig(eta=value, schedule="relu-bound")
+
+
+@pytest.mark.parametrize("n_v", [0, 1, 3])
+@pytest.mark.parametrize("grad_mode", ["exact", "analytic-relu"])
+def test_trace_keeps_each_steps_stderr(n_v, grad_mode):
+    # every step keeps the per-pair stderr of the measurement its norms came
+    # from: 0.0 for exact norms, NaN for one probe
+    spec = relu_mlp(3, 20, 1.7)
+    x, params, rng = _setup(spec, 8, 4)
+    cfg = TuneConfig(loss="jll", eta=0.05, t_max=2, n_v=n_v, grad_mode=grad_mode)
+    res = tune(spec, params, x, cfg, rng.child(3))
+    assert len(res.trace.steps) == 3
+    for step in res.trace.steps:
+        assert step.stderr.shape == step.js.shape
+        if n_v == 0:
+            assert np.all(step.stderr == 0.0)
+        elif n_v == 1:
+            assert np.all(np.isnan(step.stderr))
+        else:
+            assert np.all(step.stderr > 0)
+    aux = AuxScalars.ones(spec, cfg.aux_groups)
+    js, errs, _, _ = tuner._measure(spec, params, aux, x, cfg, rng.child(3).child(0), False)
+    first = res.trace.steps[0]
+    assert first.js.tobytes() == js.tobytes() and first.stderr.tobytes() == errs.tobytes()
+
+
 def test_fresh_batch_gradient_uses_the_step_batch():
     spec = relu_mlp(2, 20, 2.0)
     x, params, rng = _setup(spec, 15, 6)
@@ -217,12 +256,13 @@ def _record_sweeps(monkeypatch):
 
 
 def _sweeps_per_step(log):
+    """Per forward pass, its sweeps as (b0, b1, taped, rows)."""
     steps = []
     for event in log:
         if event[0] == "run":
             steps.append([])
         else:
-            steps[-1].append(event[1:4])
+            steps[-1].append(event[1:5])
     return steps
 
 
@@ -249,10 +289,13 @@ def test_exact_tune_sweeps_each_probe_once(name, monkeypatch):
     n_pairs = spec.n_boundaries - 1
     assert len(steps) == 3
     for t, sweeps in enumerate(steps):
-        assert len(sweeps) == n_pairs * cfg.n_v, (t, sweeps)
-        assert sorted({b0 for b0, _, _ in sweeps}) == list(range(n_pairs))
+        # per pair, one sweep of all n_v probe rows, or n_v one-row sweeps
+        # where batch norm couples the pair
+        want = [(l, rows) for l in range(n_pairs)
+                for rows in ([1] * cfg.n_v if spec.segment_has_batchnorm(l, l + 1) else [cfg.n_v])]
+        assert sorted((b0, rows) for b0, _, _, rows in sweeps) == want, (t, sweeps)
         gradient_step = grad_mode == "exact" and t < cfg.t_max
-        assert all(taped == gradient_step for _, _, taped in sweeps), (t, sweeps)
+        assert all(taped == gradient_step for _, _, taped, _ in sweeps), (t, sweeps)
 
 
 def _overflowing_stack():
