@@ -29,9 +29,6 @@ class LossValue:
     dj: np.ndarray
     dk: np.ndarray | None = None
 
-    def __float__(self) -> float:
-        return self.total
-
 
 def _as_positive(j, what: str) -> np.ndarray:
     arr = np.asarray(j, dtype=np.float64)

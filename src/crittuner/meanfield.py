@@ -211,10 +211,6 @@ class ReluTrajectory:
     values: np.ndarray            # [T+1, L], nan after divergence
     diverged_step: list           # per layer: step index or None
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.values[-1]
-
 
 def relu_dynamics(j0, sigma_w: float, eta, t_max: int, loss: str = "jll") -> ReluTrajectory:
     """Iterate the exact per-layer update map of ReLU tuning.

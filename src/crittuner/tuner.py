@@ -22,6 +22,7 @@ the t=0 maximum-rate estimate - for both the log and square losses.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -73,6 +74,10 @@ class TuneConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("t_max", "n_v"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
         if not self.eps >= 0:  # NaN fails too

@@ -1,8 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from crittuner import blocks
 from crittuner.blocks import (
+    OPS,
     AuxScalars,
     NetworkSpec,
     activation,
@@ -22,7 +26,7 @@ from crittuner.blocks import (
     run_network,
     scale_params,
 )
-from crittuner.presets import prebn_residual_mlp, relu_mlp, resmlp_toy
+from crittuner.presets import conv_bn_relu_stack, prebn_residual_mlp, relu_mlp, resmlp_toy
 from crittuner.tensor import RngStream
 
 
@@ -65,6 +69,120 @@ def test_init_params_zero_bias_and_identity_affine():
     assert np.all(params[1]["alpha"] == 1.0)
     assert np.all(params[1]["beta"] == 0.0)
     assert np.all(params[2]["scale"] == 0.25)
+
+
+DRAW_SPECS = {
+    "relu_mlp": lambda: relu_mlp(4, 30, 1.5, 0.1),
+    "conv_bn_relu_stack": lambda: conv_bn_relu_stack((4, 6, 6), 1.5, 0.1, image=(3, 6, 6)),
+    "resmlp_toy": lambda: resmlp_toy(2, 8, 1.4, 0.1, image=(3, 8, 8), patch=2),
+    "prebn_residual_mlp": lambda: prebn_residual_mlp(3, 20, 1.5, 0.1),
+}
+
+
+def _record_draw_threads(monkeypatch) -> set:
+    """Wrap every kind's init so the ids of the threads that call it are kept."""
+    used = set()
+    for op in OPS.values():
+        def init(blk, rng, orig=op.init):
+            used.add(threading.get_ident())
+            return orig(blk, rng)
+        monkeypatch.setattr(op, "init", init)
+    return used
+
+
+def _threaded(monkeypatch, cores=3):
+    """Draw every network on ``cores`` threads, however small and whatever
+    this machine has."""
+    monkeypatch.setattr(blocks, "_THREADED_DRAWS", 0)
+    monkeypatch.setattr(blocks, "_cores", lambda: cores)
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_SPECS))
+def test_init_params_concurrent_draw_equals_block_by_block(name, monkeypatch):
+    # blocks are drawn on several threads, each from its own child stream, so
+    # the result must equal drawing them one after another in block order
+    spec = DRAW_SPECS[name]()
+    rng = RngStream(5).child(2)
+    _threaded(monkeypatch)
+    used = _record_draw_threads(monkeypatch)
+    before = threading.active_count()
+    params = init_params(spec, rng)
+    assert threading.active_count() == before
+    assert 1 <= len(used) <= 3
+    assert rng.counter == 0
+    serial = [OPS[b.kind].init(b, rng.child(i)) for i, b in enumerate(spec.blocks)]
+    assert len(params) == len(serial)
+    for got, want in zip(params, serial):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key])
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_SPECS))
+def test_init_params_error_in_one_block_reaches_caller(name, monkeypatch):
+    spec = DRAW_SPECS[name]()
+    failing = spec.blocks[-1]
+    op = OPS[failing.kind]
+
+    def init(blk, rng, orig=op.init):
+        if blk is failing:
+            raise RuntimeError("draw failed")
+        return orig(blk, rng)
+
+    _threaded(monkeypatch)
+    monkeypatch.setattr(op, "init", init)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        init_params(spec, RngStream(5))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_SPECS))
+def test_op_draws_counts_the_normals_init_draws(name):
+    spec = DRAW_SPECS[name]()
+    for i, blk in enumerate(spec.blocks):
+        rng = RngStream(5).child(i)
+        OPS[blk.kind].init(blk, rng)
+        assert OPS[blk.kind].draws(blk) == rng.counter
+
+
+def test_init_params_draws_in_calling_thread_on_one_core(monkeypatch):
+    spec = relu_mlp(4, 300, 1.5, 0.1)  # past the threshold
+    assert sum(OPS[b.kind].draws(b) for b in spec.blocks) >= blocks._THREADED_DRAWS
+    monkeypatch.setattr(blocks, "_cores", lambda: 1)
+    used = _record_draw_threads(monkeypatch)
+    init_params(spec, RngStream(5))
+    assert used == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_SPECS))
+def test_init_params_draws_small_networks_in_calling_thread(name, monkeypatch):
+    # the toy nets' set-up draws a few thousand normals; a helper thread
+    # would cost more than it saves
+    spec = DRAW_SPECS[name]()
+    monkeypatch.setattr(blocks, "_cores", lambda: 3)
+    used = _record_draw_threads(monkeypatch)
+    init_params(spec, RngStream(5))
+    assert used == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_init_params_starts_one_helper_per_further_core(cores, monkeypatch):
+    spec = relu_mlp(4, 300, 1.5, 0.1)
+    monkeypatch.setattr(blocks, "_cores", lambda: cores)
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Thread)
+    before = threading.active_count()
+    init_params(spec, RngStream(5))
+    assert threading.active_count() == before
+    assert len(started) == cores - 1
+    assert not any(t.is_alive() for t in started)
 
 
 def test_forward_identity_dense_injection():

@@ -162,6 +162,16 @@ def test_config_rejects_non_finite_settings(field, value):
             TuneConfig(eta=value, schedule="relu-bound")
 
 
+@pytest.mark.parametrize("field", ["n_v", "t_max"])
+def test_config_rejects_non_integer_counts(field):
+    # range() in the tuner needs ints; a float must fail here, naming the key,
+    # and not later inside tune with a bare TypeError
+    for value in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            TuneConfig(**{"eta": 0.1, field: value})
+    assert getattr(TuneConfig(**{"eta": 0.1, field: np.int64(2)}), field) == 2
+
+
 @pytest.mark.parametrize("n_v", [0, 1, 3])
 @pytest.mark.parametrize("grad_mode", ["exact", "analytic-relu"])
 def test_trace_keeps_each_steps_stderr(n_v, grad_mode):
